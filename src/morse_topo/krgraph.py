@@ -152,11 +152,14 @@ class KRGraph:
             if hi <= lo or (hi - lo).denominator != 1:
                 raise ValueError("free loop winding must be a positive integer")
             return
+        degree = dict.fromkeys(self.vertices, 0)
         for e in self.edges:
             if e.tail is None or e.head is None:
                 raise ValueError("only a single free loop may omit endpoints")
             if e.tail not in self.vertices or e.head not in self.vertices:
                 raise ValueError(f"edge {e.id} references unknown vertices")
+            degree[e.tail] += 1
+            degree[e.head] += 1
             if self.target is Target.LINE:
                 if e.lift is not None:
                     raise ValueError("Line-target edges carry no lift")
@@ -179,7 +182,7 @@ class KRGraph:
                 if not 0 <= v.height < 1:
                     raise ValueError("Circle-target heights live in [0, 1)")
         for v in self.vertices.values():
-            d = self.degree(v.id)
+            d = degree[v.id]
             if d != _DEGREE[v.kind]:
                 raise ValueError(
                     f"vertex {v.id} ({v.kind.value}) has degree {d}, "

@@ -2,19 +2,19 @@
 
 A mesh is a triangulated compact surface whose vertices carry heights in
 Q.  Boundary circles are explicit vertex cycles, each at a constant
-height.  The extraction sweep classifies interior vertices by the
-connectivity of their lower links, takes one sample level inside every gap
-between consecutive event heights, computes the level-set circles there by
-brute-force edge-crossing connectivity, and links circles across each
-event through the connectivity of the slab between the two neighbouring
-sample levels.  Everything is exact; inputs whose event heights collide
-are rejected rather than perturbed.
+height.  Extraction sorts the heights once and from then on compares only
+integer ranks: it classifies interior vertices by the runs of lower
+vertices around their links, then sweeps the vertices bottom-up once,
+labelling every edge that crosses the sweep level with the id of its level
+circle (union-find for merges, walks along the level curve for splits).
+That costs O(m) plus the smaller side of every split and the walks at
+degree-two saddles, for m triangles.  Everything is exact; inputs whose
+event heights collide are rejected rather than perturbed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
 from .surface import CriticalType, Surface, Target, validate_critical_type
@@ -316,22 +316,13 @@ def _link_cycle(vid: int, pairs: list[tuple[int, int]], on_boundary: bool):
     return order
 
 
-def _lower_runs(cycle: Sequence[int], lower: set[int], closed: bool) -> int:
-    """Number of maximal runs of lower-link vertices along the link."""
-    n = len(cycle)
-    flags = [v in lower for v in cycle]
-    if all(flags):
-        return -1  # sentinel: the whole link is lower
-    runs = 0
-    for i in range(n):
-        prev = flags[i - 1] if (closed or i > 0) else False
-        if flags[i] and not prev:
-            runs += 1
-    return runs
-
-
 @dataclass(frozen=True)
 class _Classification:
+    order: list[int]  # vertex ids sorted by height, ties by id
+    rank: list[int]  # position of each vertex in ``order``
+    # ordered link of each vertex: a cycle, or for a boundary vertex a path
+    # whose two ends are its neighbours on the boundary cycle
+    links: list[list[int]]
     minima: tuple[int, ...]
     saddles: tuple[int, ...]
     maxima: tuple[int, ...]
@@ -339,35 +330,40 @@ class _Classification:
 
 
 def _classify_vertices(m: HeightMesh) -> _Classification:
-    link = _vertex_links(m)
-    on_boundary = {}
-    for label, cyc in m.boundary_cycles:
-        for v in cyc:
-            on_boundary[v] = label
+    """Classify vertices by their lower links, comparing integer height ranks.
+
+    Ties between equal heights are broken by vertex id; that never decides
+    a comparison below, because only boundary edges may be flat and the
+    ends of a boundary vertex's link path are skipped.
+    """
+    order = sorted(range(m.num_vertices), key=m.heights.__getitem__)
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    pairs = _vertex_links(m)
+    on_boundary = {v: label for label, cyc in m.boundary_cycles for v in cyc}
+    links = []
     minima, saddles, maxima = [], [], []
     cycle_sides: dict[str, set[int]] = {label: set() for label, _ in m.boundary_cycles}
     for v in range(m.num_vertices):
-        cyc = _link_cycle(v, link[v], v in on_boundary)
-        h = m.heights[v]
+        link = _link_cycle(v, pairs[v], v in on_boundary)
+        links.append(link)
+        r = rank[v]
         if v in on_boundary:
-            label = on_boundary[v]
-            for w in cyc:
-                if m.heights[w] > h:
-                    cycle_sides[label].add(1)
-                elif m.heights[w] < h:
-                    cycle_sides[label].add(-1)
+            cycle_sides[on_boundary[v]].update(
+                1 if rank[w] > r else -1 for w in link[1:-1]
+            )
             continue
-        lower = {w for w in cyc if m.heights[w] < h}
-        runs = _lower_runs(cyc, lower, closed=True)
-        if runs == -1:
+        lower = [rank[w] < r for w in link]
+        if all(lower):
             maxima.append(v)
-        elif runs == 0:
-            minima.append(v)
-        elif runs == 1:
             continue
+        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
+        if runs == 0:
+            minima.append(v)
         elif runs == 2:
             saddles.append(v)
-        else:
+        elif runs > 2:
             raise NotMorseError(
                 f"vertex {v} has a lower link with {runs} components "
                 "(degenerate saddle)"
@@ -382,211 +378,192 @@ def _classify_vertices(m: HeightMesh) -> _Classification:
             raise NotMorseError(
                 f"boundary cycle {label!r} has interior neighbours on both sides"
             )
-    return _Classification(tuple(minima), tuple(saddles), tuple(maxima), eps)
+    return _Classification(
+        order, rank, links, tuple(minima), tuple(saddles), tuple(maxima), eps
+    )
 
 
 # ---------------------------------------------------------------------------
-# Level sets and the sweep
+# The sweep
 
 
-def level_set_components(m: HeightMesh, c: Fraction) -> list[frozenset]:
-    """Circles of the level set at a regular height, as sets of crossing edges."""
-    c = Fraction(c)
-    if any(h == c for h in m.heights):
-        raise ValueError(f"height {c} is a vertex height, not regular")
-    crossing = {
-        e for e in m.edges() if min(m.heights[e[0]], m.heights[e[1]]) < c
-        and max(m.heights[e[0]], m.heights[e[1]]) > c
+def _saddle_runs(link: list[int], rank: list[int], r: int) -> list[list[int]]:
+    """The link of a saddle of rank ``r`` as its four alternating runs
+    [upper, lower, upper, lower], in link order."""
+    i = next(i for i in range(len(link)) if rank[link[i - 1]] < r < rank[link[i]])
+    link = link[i:] + link[:i]
+    runs = [[link[0]]]
+    for prev, w in zip(link, link[1:]):
+        if (rank[prev] > r) == (rank[w] > r):
+            runs[-1].append(w)
+        else:
+            runs.append([w])
+    return runs
+
+
+def _split_circle(v: int, runs, rank: list[int], links, n: int):
+    """Walk the level curve just above the saddle ``v`` from both upper runs.
+
+    A state ``(p, q, back)`` is a crossing edge with lower end ``p`` and
+    upper end ``q``, entered through the triangle ``p q back``; the next
+    crossing edge is the other one of the triangle on the far side, whose
+    third vertex sits next to ``p`` in the link of ``q``.  Each walker
+    starts where its run leaves the star of ``v`` and the two step in turn
+    until one re-enters the star.  Returns the edge keys of the walker's
+    circle when it came back to its own run (the circles split), or None
+    when it reached the other run (one circle: a degree-two saddle).  The
+    cost is at most twice the shorter of the two walks.
+    """
+    up1, low1, up2, low2 = runs
+    r = rank[v]
+    walkers = ((up1, [low1[0], up1[-1], v], []), (up2, [low2[0], up2[-1], v], []))
+    while True:
+        for own, state, trail in walkers:
+            p, q, back = state
+            if p == v:
+                if q in own:
+                    return trail + [v * n + u for u in own]
+                return None
+            trail.append(p * n + q)
+            link = links[q]
+            i = link.index(p)
+            after = link[i + 1] if i + 1 < len(link) else link[0]
+            s = link[i - 1] if after == back else after
+            state[:] = (s, q, p) if rank[s] <= r else (p, s, q)
+
+
+def _sweep(m: HeightMesh, cls: _Classification):
+    """Graph vertices and (tail, head) arcs of the Reeb graph, by one sweep."""
+    n = m.num_vertices
+    rank, links = cls.rank, cls.links
+    special: dict[int, object] = {
+        **dict.fromkeys(cls.minima, VertexKind.MIN),
+        **dict.fromkeys(cls.saddles, VertexKind.SADDLE3),
+        **dict.fromkeys(cls.maxima, VertexKind.MAX),
     }
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {e: set() for e in crossing}
-    for t in m.triangles:
-        inside = [
-            e
-            for e in (_norm(t[0], t[1]), _norm(t[1], t[2]), _norm(t[0], t[2]))
-            if e in crossing
-        ]
-        for i in range(len(inside)):
-            for j in range(i + 1, len(inside)):
-                adj[inside[i]].add(inside[j])
-                adj[inside[j]].add(inside[i])
-    comps = []
-    unseen = set(crossing)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        unseen.discard(start)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    for label, cyc in m.boundary_cycles:
+        special.update(dict.fromkeys(cyc))  # None: skipped, see below
+        special[min(cyc, key=rank.__getitem__)] = (label, cyc)
 
+    # contour id of every edge crossing the sweep level, keyed lower*n+upper;
+    # the ids of one level circle agree up to ``find``
+    contour: dict[int, int] = {}
+    parent: list[int] = []
+    start: list[int] = []  # graph vertex where a contour's open arc begins
+    vertices: list[KRVertex] = []
+    arcs: list[tuple[int, int]] = []
 
-def _slab_components(m: HeightMesh, lo: Fraction, hi: Fraction) -> dict[int, int]:
-    """Triangle -> component id over triangles meeting the height band [lo, hi]."""
-    tri_range = []
-    for t in m.triangles:
-        hs = [m.heights[v] for v in t]
-        tri_range.append((min(hs), max(hs)))
-    members = [
-        i for i, (a, b) in enumerate(tri_range) if a <= hi and b >= lo
-    ]
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for i in members:
-        t = m.triangles[i]
-        for e in (_norm(t[0], t[1]), _norm(t[1], t[2]), _norm(t[0], t[2])):
-            ea, eb = m.heights[e[0]], m.heights[e[1]]
-            if min(ea, eb) <= hi and max(ea, eb) >= lo:
-                by_edge.setdefault(e, []).append(i)
-    comp: dict[int, int] = {}
-    cid = 0
-    for i in members:
-        if i in comp:
+    def fresh(at: int) -> int:
+        parent.append(len(parent))
+        start.append(at)
+        return len(parent) - 1
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for v in cls.order:
+        r = rank[v]
+        link = links[v]
+        if v not in special:
+            # regular: the lower edges are one run of one circle, and the
+            # upper edges take their place on it
+            for w in link:
+                if rank[w] < r:
+                    c = contour.pop(w * n + v)
+            for w in link:
+                if rank[w] > r:
+                    contour[v * n + w] = c
             continue
-        comp[i] = cid
-        stack = [i]
-        while stack:
-            t = m.triangles[stack.pop()]
-            for e in (_norm(t[0], t[1]), _norm(t[1], t[2]), _norm(t[0], t[2])):
-                for nb in by_edge.get(e, ()):
-                    if nb not in comp:
-                        comp[nb] = cid
-                        stack.append(nb)
-        cid += 1
-    return comp
-
-
-def _component_slab_id(
-    m: HeightMesh, comp_edges: frozenset, tri_comp: dict[int, int], tri_of_edge
-) -> int:
-    edge = min(comp_edges)
-    for t in tri_of_edge[edge]:
-        if t in tri_comp:
-            return tri_comp[t]
-    raise AssertionError("level component missing from its slab")
+        what = special[v]
+        if what is None:
+            continue  # its cycle was swept with the cycle's first vertex
+        vid = len(vertices)
+        if isinstance(what, tuple):
+            label, cyc = what
+            vertices.append(KRVertex(vid, VertexKind.BOUNDARY, m.heights[v], label))
+            if cls.eps[label] == 1:  # the circle just below ends here
+                for x in cyc:
+                    for w in links[x][1:-1]:
+                        c = contour.pop(w * n + x)
+                arcs.append((start[find(c)], vid))
+            else:
+                c = fresh(vid)
+                for x in cyc:
+                    for w in links[x][1:-1]:
+                        contour[x * n + w] = c
+            continue
+        if what is VertexKind.MIN:
+            c = fresh(vid)
+            for w in link:
+                contour[v * n + w] = c
+        elif what is VertexKind.MAX:
+            for w in link:
+                c = contour.pop(w * n + v)
+            arcs.append((start[find(c)], vid))
+        else:
+            runs = _saddle_runs(link, rank, r)
+            up1, low1, up2, low2 = runs
+            a = find(contour[low1[0] * n + v])
+            b = find(contour[low2[0] * n + v])
+            for w in low1 + low2:
+                del contour[w * n + v]
+            for w in up1 + up2:
+                contour[v * n + w] = a
+            if a != b:  # two circles merge
+                arcs.extend((t, vid) for t in sorted((start[a], start[b])))
+                parent[b] = a
+            else:
+                arcs.append((start[a], vid))
+                split = _split_circle(v, runs, rank, links, n)
+                if split is None:
+                    what = VertexKind.STAR2
+                else:
+                    c = fresh(vid)
+                    for key in split:
+                        contour[key] = c
+            start[a] = vid
+        vertices.append(KRVertex(vid, what, m.heights[v]))
+    if contour:
+        raise AssertionError("level circles left open after the sweep")
+    return vertices, arcs
 
 
 def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     """Sweep a mesh bottom-up and assemble its Reeb graph and critical type.
 
     Event heights are the critical-vertex heights and the boundary-circle
-    heights; they must be pairwise distinct.  Between consecutive events the
-    level-set circles are constant, so one sample per gap suffices; each
-    event links the circles below it to the circles above it through the
-    connected components of the slab spanning the two samples.  The slab
-    component containing the event contributes the new graph vertex (its
-    realised degree distinguishes an ordinary saddle from a degree-two
-    one); every other slab component is a cylinder and just extends an edge.
+    heights; they must be pairwise distinct.  Vertices are swept once in
+    height order, each boundary cycle as one group, and every edge crossing
+    the sweep level carries the id of its level circle:
+
+    - a regular vertex hands the id of its lower edges to its upper edges;
+    - a minimum, or a boundary circle with the surface above it, opens a
+      circle; a maximum, or a boundary circle with the surface below it,
+      closes one;
+    - a saddle whose two lower runs carry different circles merges them
+      (union-find) into an ordinary saddle;
+    - otherwise the level curve is walked from both upper runs in turn: a
+      walker that closes its own circle first has found the smaller half of
+      a split (an ordinary saddle), whose edges get a fresh id; walkers that
+      reach each other's run share one circle (a degree-two saddle).
+
+    The cost is O(m) for the links and the sweep, plus the smaller side of
+    every split and the walks at degree-two saddles, plus one sort of the
+    n heights; exact heights are only compared in that sort and copied to
+    the graph's vertices.  Graph vertices are numbered in height order and
+    edges by (head, tail).
     """
     cls = _classify_vertices(m)
-    events: list[tuple[Fraction, str, object]] = []
-    for v in cls.minima:
-        events.append((m.heights[v], "min", v))
-    for v in cls.saddles:
-        events.append((m.heights[v], "saddle", v))
-    for v in cls.maxima:
-        events.append((m.heights[v], "max", v))
-    for label, cyc in m.boundary_cycles:
-        events.append((m.heights[cyc[0]], "boundary", label))
-    heights = [h for h, _, _ in events]
-    if len(set(heights)) != len(heights):
+    events = [*cls.minima, *cls.saddles, *cls.maxima]
+    events += [cyc[0] for _, cyc in m.boundary_cycles]
+    heights = [m.heights[v] for v in sorted(events, key=cls.rank.__getitem__)]
+    if any(a == b for a, b in zip(heights, heights[1:])):
         raise NotGenericError("event heights are not pairwise distinct")
-    events.sort(key=lambda e: e[0])
 
-    tri_of_edge: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(m.triangles):
-        for e in (_norm(t[0], t[1]), _norm(t[1], t[2]), _norm(t[0], t[2])):
-            tri_of_edge.setdefault(e, []).append(i)
-
-    # one sample level inside each gap between consecutive events, chosen
-    # below the next vertex height so no (regular) vertex sits on it
-    all_heights = sorted(set(m.heights))
-    samples: list[Fraction | None] = [None]
-    for i in range(len(events) - 1):
-        lo = events[i][0]
-        nxt = min(h for h in all_heights if h > lo)
-        samples.append((lo + nxt) / 2)
-    samples.append(None)
-
-    level_comps: dict[int, list[frozenset]] = {}
-    for i, c in enumerate(samples):
-        level_comps[i] = [] if c is None else level_set_components(m, c)
-
-    vertices: list[KRVertex] = []
-    edges: list[KREdge] = []
-    # circles of the current sample level -> id of the open edge's lower vertex
-    open_edges: dict[frozenset, int] = {}
-
-    def new_vertex(kind: VertexKind, height: Fraction, label=None) -> int:
-        vid = len(vertices)
-        vertices.append(KRVertex(vid, kind, height, label))
-        return vid
-
-    for i, (h, etype, payload) in enumerate(events):
-        below = level_comps[i]
-        above = level_comps[i + 1]
-        lo = samples[i] if samples[i] is not None else h - 1
-        hi = samples[i + 1] if samples[i + 1] is not None else h + 1
-        tri_comp = _slab_components(m, lo, hi)
-        if etype == "boundary":
-            label = payload
-            cyc = dict(m.boundary_cycles)[label]
-            probe = _norm(cyc[0], cyc[1])
-            event_slab = tri_comp[tri_of_edge[probe][0]]
-        else:
-            vtx = payload
-            tri = next(ti for ti, t in enumerate(m.triangles) if vtx in t)
-            event_slab = tri_comp[tri]
-
-        below_ids = {
-            comp: _component_slab_id(m, comp, tri_comp, tri_of_edge) for comp in below
-        }
-        above_ids = {
-            comp: _component_slab_id(m, comp, tri_comp, tri_of_edge) for comp in above
-        }
-        attach_below = [c for c, s in below_ids.items() if s == event_slab]
-        attach_above = [c for c, s in above_ids.items() if s == event_slab]
-
-        if etype == "min":
-            kind = VertexKind.MIN
-        elif etype == "max":
-            kind = VertexKind.MAX
-        elif etype == "boundary":
-            kind = VertexKind.BOUNDARY
-        else:
-            degree = len(attach_below) + len(attach_above)
-            if degree == 3:
-                kind = VertexKind.SADDLE3
-            elif degree == 2:
-                kind = VertexKind.STAR2
-            else:
-                raise NotMorseError(
-                    f"saddle at vertex {payload} links {degree} circles"
-                )
-        vid = new_vertex(kind, h, payload if etype == "boundary" else None)
-        for comp in attach_below:
-            edges.append(KREdge(len(edges), open_edges.pop(comp), vid))
-        for comp in attach_above:
-            open_edges[comp] = vid
-
-        # cylinders: re-key the untouched circles to their continuations above
-        passing = {
-            s: comp for comp, s in below_ids.items() if s != event_slab
-        }
-        for comp, s in above_ids.items():
-            if s == event_slab:
-                continue
-            prev = passing.pop(s)
-            open_edges[comp] = open_edges.pop(prev)
-        if passing:
-            raise AssertionError("level circle vanished without an event")
-    if open_edges:
-        raise AssertionError("unclosed level circles after the sweep")
-
+    vertices, arcs = _sweep(m, cls)
+    edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(arcs)]
     graph = KRGraph(Target.LINE, vertices, edges)
     surface = surface_of(m)
     ktype = CriticalType(

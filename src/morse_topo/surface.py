@@ -172,6 +172,10 @@ def critical_type_from_json(text: str) -> CriticalType:
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid critical-type JSON: {exc}") from None
     try:
+        if not isinstance(payload["q"], list):
+            raise ValueError('"q" must be a list')
+        if not isinstance(payload["eps"], dict):
+            raise ValueError('"eps" must be an object')
         target = Target(payload["target"])
         return CriticalType(
             target=target,

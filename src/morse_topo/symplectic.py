@@ -85,7 +85,8 @@ class SpMatrix:
             raise ValueError("matrix is not symplectic")
         om = omega_matrix(self.g)
         inv = SpMatrix([[-x for x in row] for row in (om * self.transpose() * om).rows])
-        assert inv * self == SpMatrix.identity(self.g)
+        if inv * self != SpMatrix.identity(self.g):
+            raise AssertionError("computed inverse does not invert the matrix")
         return inv
 
 
@@ -503,7 +504,8 @@ def _embed_check(word: Word, h: SpMatrix, first_index: int) -> Word:
         )
         for p in word
     )
-    assert evaluate(shifted, h.g) == h
+    if evaluate(shifted, h.g) != h:
+        raise AssertionError("factorisation does not evaluate to the input matrix")
     return word
 
 
@@ -529,7 +531,8 @@ def stabilizer_decompose(h: SpMatrix) -> Word:
     elim.fix_first_beta()
     rest = _factor(_strip_first_pair(rows), 1)
     word = _normalize(_undo_ops(elim.ops) + rest)
-    assert not any(_is_forbidden(p) for p in word)
+    if any(_is_forbidden(p) for p in word):
+        raise AssertionError("stabilizer word uses a forbidden generator")
     return word
 
 
@@ -562,5 +565,6 @@ def symplectic_completion(v: Sequence[int]) -> SpMatrix:
     elim = _Eliminator([[x] for x in v], offset=0)
     elim.reduce_first_column()
     completion = evaluate(_undo_ops(elim.ops), g)
-    assert completion.column(0) == tuple(v)
+    if completion.column(0) != tuple(v):
+        raise AssertionError("completion does not have the requested first column")
     return completion

@@ -7,9 +7,13 @@ tiny injective tie-breaker.
 """
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
-from morse_topo.mesh import HeightMesh
+from morse_topo.krgraph import KREdge, KRGraph, KRVertex, VertexKind
+from morse_topo.mesh import HeightMesh, NotGenericError, NotMorseError, surface_of
+from morse_topo.surface import CriticalType, Target
 
 # sin- and (25 + 10*cos)-like integer profiles on 8 samples
 _A = [0, 7, 10, 7, 0, -7, -10, -7]
@@ -68,21 +72,21 @@ def cylinder() -> HeightMesh:
     )
 
 
-def _grid_vertex(k: int, l: int) -> int:
-    return (k % _N) * _N + (l % _N)
+def _grid_vertex(k: int, l: int, n: int = _N) -> int:
+    return (k % n) * n + (l % n)
 
 
-def _grid_triangles(twisted: bool):
-    """Triangulated N x N grid on the torus, or with a flipped vertical seam."""
+def _grid_triangles(twisted: bool, n: int = _N):
+    """Triangulated n x n grid on the torus, or with a flipped vertical seam."""
 
     def vertex(k, l):
-        if twisted and k >= _N:
-            return _grid_vertex(k - _N, -l)
-        return _grid_vertex(k, l)
+        if twisted and k >= n:
+            return _grid_vertex(k - n, -l, n)
+        return _grid_vertex(k, l, n)
 
     tris = []
-    for k in range(_N):
-        for l in range(_N):
+    for k in range(n):
+        for l in range(n):
             a = vertex(k, l)
             b = vertex(k + 1, l)
             c = vertex(k + 1, l + 1)
@@ -304,8 +308,44 @@ def corpus() -> dict[str, HeightMesh]:
     }
 
 
-def brute_force_fiber_count(m: HeightMesh, c) -> int:
-    """Independent level-set circle count: union-find over crossing edges."""
+def baseline_torus(n: int, f: int) -> HeightMesh:
+    """n x n torus grid with f waves each way: the height
+    sin(2 pi f k/n + 0.3) cos(2 pi f l/n + 0.7) + 0.3 sin(2 pi k/n + 0.1 l)
+    rounded at 1e-6, scaled by 4 n^2 and tie-broken by the grid index, so
+    all heights are distinct integers.  8 f^2 critical points for the f
+    used in the tests."""
+    heights = [Fraction(0)] * (n * n)
+    for k in range(n):
+        for l in range(n):
+            h = math.sin(2 * math.pi * f * k / n + 0.3) * math.cos(
+                2 * math.pi * f * l / n + 0.7
+            ) + 0.3 * math.sin(2 * math.pi * k / n + 0.1 * l)
+            heights[_grid_vertex(k, l, n)] = Fraction(
+                round(h * 1e6) * 4 * n * n + (n * k + l)
+            )
+    return HeightMesh(True, tuple(heights), _grid_triangles(False, n))
+
+
+def random_grid_mesh(rng: random.Random, family: str, n: int) -> HeightMesh:
+    """An n x n grid torus ("torus"), Klein bottle ("klein") or torus with a
+    hole at its top or bottom ("holed"), with random distinct integer heights.
+
+    The heights need not be Morse: extraction raises ``NotMorseError`` at a
+    degenerate saddle, and a hole whose ring has a chord raises
+    ``NotGenericError`` (a flat interior edge) when the mesh is built.
+    """
+    heights = tuple(Fraction(h) for h in rng.sample(range(4 * n * n), n * n))
+    m = HeightMesh(family != "klein", heights, _grid_triangles(family == "klein", n))
+    if family != "holed":
+        return m
+    pick = max if rng.random() < 0.5 else min
+    v = pick(range(n * n), key=heights.__getitem__)
+    return puncture_extremum(m, v, "hole", heights[v])
+
+
+def level_circles(m: HeightMesh, c) -> list[frozenset]:
+    """Circles of the level set at a regular height ``c``, as sets of
+    crossing edges: union-find over the edges the level crosses."""
     c = Fraction(c)
     crossing = []
     for a, b, cc in m.triangles:
@@ -332,4 +372,186 @@ def brute_force_fiber_count(m: HeightMesh, c) -> int:
             ra, rb = find(tri_edges[0]), find(tri_edges[i])
             if ra != rb:
                 parent[ra] = rb
-    return len({find(e) for e in crossing})
+    circles: dict = {}
+    for e in crossing:
+        circles.setdefault(find(e), set()).add(e)
+    return [frozenset(comp) for comp in circles.values()]
+
+
+def brute_force_fiber_count(m: HeightMesh, c) -> int:
+    """Independent level-set circle count."""
+    return len(level_circles(m, c))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force Reeb graph: the reference the library's sweep is tested against
+
+
+def _tri_edges(t):
+    a, b, c = t
+    return ((min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c)))
+
+
+def _oracle_classify(m: HeightMesh):
+    """Minima, saddles, maxima and boundary signs from exact height compares.
+
+    An interior vertex is a minimum, regular, a saddle or a maximum when
+    its lower neighbours form 0, 1 or 2 runs around its link, or all of it.
+    """
+    adj: dict[int, dict[int, list[int]]] = {}
+    for t in m.triangles:
+        for i, v in enumerate(t):
+            a, b = t[(i + 1) % 3], t[(i + 2) % 3]
+            link = adj.setdefault(v, {})
+            link.setdefault(a, []).append(b)
+            link.setdefault(b, []).append(a)
+    on_boundary = {v: label for label, cyc in m.boundary_cycles for v in cyc}
+    minima, saddles, maxima = [], [], []
+    sides: dict[str, set[int]] = {label: set() for label, _ in m.boundary_cycles}
+    for v, link in sorted(adj.items()):
+        h = m.heights[v]
+        if v in on_boundary:
+            sides[on_boundary[v]].update(
+                1 if m.heights[w] > h else -1 for w in link if m.heights[w] != h
+            )
+            continue
+        order, prev = [min(link)], None
+        while True:
+            nxt = next(w for w in link[order[-1]] if w != prev)
+            if nxt == order[0]:
+                break
+            prev = order[-1]
+            order.append(nxt)
+        lower = [m.heights[w] < h for w in order]
+        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
+        if all(lower):
+            maxima.append(v)
+        elif runs == 0:
+            minima.append(v)
+        elif runs == 2:
+            saddles.append(v)
+        elif runs > 2:
+            raise NotMorseError(f"vertex {v} has a lower link with {runs} components")
+    eps = {}
+    for label, s in sides.items():
+        if s not in ({-1}, {1}):
+            raise NotMorseError(f"boundary cycle {label!r} has neighbours on both sides")
+        eps[label] = 1 if s == {-1} else -1
+    return minima, saddles, maxima, eps
+
+
+def _slab_components(m: HeightMesh, lo, hi) -> dict[int, int]:
+    """Triangle -> component id over triangles meeting the height band [lo, hi]."""
+    members = [
+        i
+        for i, t in enumerate(m.triangles)
+        if min(m.heights[v] for v in t) <= hi and max(m.heights[v] for v in t) >= lo
+    ]
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for i in members:
+        for e in _tri_edges(m.triangles[i]):
+            ea, eb = m.heights[e[0]], m.heights[e[1]]
+            if min(ea, eb) <= hi and max(ea, eb) >= lo:
+                by_edge.setdefault(e, []).append(i)
+    comp: dict[int, int] = {}
+    cid = 0
+    for i in members:
+        if i in comp:
+            continue
+        comp[i] = cid
+        stack = [i]
+        while stack:
+            for e in _tri_edges(m.triangles[stack.pop()]):
+                for nb in by_edge.get(e, ()):
+                    if nb not in comp:
+                        comp[nb] = cid
+                        stack.append(nb)
+        cid += 1
+    return comp
+
+
+def brute_force_reeb(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
+    """Reeb graph by sampling every gap between events and linking circles.
+
+    One sample level sits inside each gap between consecutive event
+    heights; the level circles there come from ``level_circles``, and each
+    event links the circles below it to those above it through the
+    connected components of the slab spanning the two samples.  The slab
+    component holding the event gives the graph vertex (its realised
+    degree tells an ordinary saddle from a degree-two one); every other
+    slab component is a cylinder and carries an edge through.  Cost
+    O(events x (edges + triangles)); it raises the library's
+    ``NotMorseError``/``NotGenericError`` on the inputs the library rejects.
+    """
+    minima, saddles, maxima, eps = _oracle_classify(m)
+    events = [(m.heights[v], "min", v) for v in minima]
+    events += [(m.heights[v], "saddle", v) for v in saddles]
+    events += [(m.heights[v], "max", v) for v in maxima]
+    events += [(m.heights[cyc[0]], "boundary", label) for label, cyc in m.boundary_cycles]
+    if len({h for h, _, _ in events}) != len(events):
+        raise NotGenericError("event heights are not pairwise distinct")
+    events.sort(key=lambda e: e[0])
+
+    tri_of_edge: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(m.triangles):
+        for e in _tri_edges(t):
+            tri_of_edge.setdefault(e, []).append(i)
+    # a sample level in each gap, below the next vertex height
+    all_heights = sorted(set(m.heights))
+    samples = [None]
+    for h, _, _ in events[:-1]:
+        samples.append((h + min(x for x in all_heights if x > h)) / 2)
+    samples.append(None)
+    circles = [[] if c is None else level_circles(m, c) for c in samples]
+
+    vertices: list[KRVertex] = []
+    edges: list[KREdge] = []
+    open_edges: dict[frozenset, int] = {}  # circle -> lower vertex of its edge
+    for i, (h, etype, payload) in enumerate(events):
+        lo = samples[i] if samples[i] is not None else h - 1
+        hi = samples[i + 1] if samples[i + 1] is not None else h + 1
+        tri_comp = _slab_components(m, lo, hi)
+        if etype == "boundary":
+            cyc = dict(m.boundary_cycles)[payload]
+            probe = (min(cyc[0], cyc[1]), max(cyc[0], cyc[1]))
+            event_slab = tri_comp[tri_of_edge[probe][0]]
+        else:
+            event_slab = tri_comp[next(j for j, t in enumerate(m.triangles) if payload in t)]
+
+        def slab_of(circle):
+            return next(tri_comp[t] for t in tri_of_edge[min(circle)] if t in tri_comp)
+
+        below = {circle: slab_of(circle) for circle in circles[i]}
+        above = {circle: slab_of(circle) for circle in circles[i + 1]}
+        attach_below = [c for c, s in below.items() if s == event_slab]
+        attach_above = [c for c, s in above.items() if s == event_slab]
+        if etype == "saddle":
+            degree = len(attach_below) + len(attach_above)
+            kind = {3: VertexKind.SADDLE3, 2: VertexKind.STAR2}[degree]
+        else:
+            kind = {
+                "min": VertexKind.MIN,
+                "max": VertexKind.MAX,
+                "boundary": VertexKind.BOUNDARY,
+            }[etype]
+        vid = len(vertices)
+        label = payload if etype == "boundary" else None
+        vertices.append(KRVertex(vid, kind, h, label))
+        for c in attach_below:
+            edges.append(KREdge(len(edges), open_edges.pop(c), vid))
+        for c in attach_above:
+            open_edges[c] = vid
+        # cylinders: re-key the untouched circles to their continuations above
+        passing = {s: c for c, s in below.items() if s != event_slab}
+        for c, s in above.items():
+            if s != event_slab:
+                open_edges[c] = open_edges.pop(passing.pop(s))
+        assert not passing, "level circle vanished without an event"
+    assert not open_edges, "unclosed level circles after the sweep"
+
+    surface = surface_of(m)
+    ktype = CriticalType(
+        Target.LINE, (0,) * surface.homology_rank, len(minima), len(saddles),
+        len(maxima), eps,
+    )
+    return KRGraph(Target.LINE, vertices, edges), ktype

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,9 +11,9 @@ from morse_topo.mesh import format_hmesh
 from morse_topo.symplectic import evaluate, format_matrix, gen, parse_word
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "morse_topo.cli", *args],
+        [sys.executable, *flags, "-m", "morse_topo.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -91,6 +93,19 @@ def test_classify_up_to_flip(tmp_path):
     assert json.loads(r.stdout)["equivalent"] is False
     r = run_cli("classify", "--up-to-flip", str(a), str(b))
     assert json.loads(r.stdout)["equivalent"] is True
+
+
+@pytest.mark.parametrize("field, value", [("eps", []), ("eps", 3), ("q", {})])
+def test_classify_rejects_malformed_ktype_shapes(tmp_path, field, value):
+    good = {"target": "Line", "q": [], "c0": 1, "c1": 0, "c2": 1, "eps": {}}
+    a = tmp_path / "a.ktype"
+    b = tmp_path / "b.ktype"
+    a.write_text(json.dumps(good))
+    b.write_text(json.dumps(dict(good, **{field: value})))
+    r = run_cli("classify", str(a), str(b))
+    assert r.returncode == 1 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert json.loads(r.stderr)["error"].startswith(f'format: invalid critical-type JSON: "{field}"')
 
 
 def test_canonical_line_and_circle():
@@ -196,3 +211,21 @@ def test_surface_descriptor_form():
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_checks_survive_optimised_mode(tmp_path):
+    mesh = tmp_path / "klein.hmesh"
+    mesh.write_text(format_hmesh(meshes.klein_square()))
+    word = (gen("Ta", 1, None, 2), gen("Mu", 1, 3, -1), gen("Nu", 2, 3, 1), gen("Tb", 3, None, 2))
+    matrix = tmp_path / "h.mat"
+    matrix.write_text(format_matrix(evaluate(word, 3)))
+    for args in (("reeb", str(mesh)), ("sp-decompose", str(matrix))):
+        plain = run_cli(*args)
+        optimised = run_cli(*args, flags=("-O",))
+        assert plain.returncode == optimised.returncode == 0, args
+        assert plain.stdout == optimised.stdout, args
+    # -O strips assert statements, so no result check may be one
+    package = pathlib.Path(__import__("morse_topo").__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path

@@ -1,3 +1,7 @@
+import math
+import os
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -107,6 +111,82 @@ def test_klein_fiber_components_across_star_level():
         assert regular_fiber_components(graph, below) == regular_fiber_components(
             graph, above
         )
+
+
+SEED = int(os.environ.get("MORSE_TOPO_SEED", "0"))
+
+
+def assert_matches_brute_force(m, name):
+    graph, ktype = extract_kr_graph(m)
+    ref_graph, ref_ktype = meshes.brute_force_reeb(m)
+    assert ktype == ref_ktype, name
+
+    def vertex_list(g):
+        return [(v.kind, v.height, v.boundary_label) for _, v in sorted(g.vertices.items())]
+
+    assert vertex_list(graph) == vertex_list(ref_graph), name
+    arcs = sorted((e.tail, e.head) for e in graph.edges)
+    assert arcs == sorted((e.tail, e.head) for e in ref_graph.edges), name
+    # edges are numbered by (head, tail)
+    numbered = [(e.head, e.tail) for e in sorted(graph.edges, key=lambda e: e.id)]
+    assert numbered == sorted(numbered), name
+    assert sorted(e.id for e in graph.edges) == list(range(len(arcs))), name
+    return graph
+
+
+def test_sweep_matches_brute_force_on_corpus():
+    cases = meshes.corpus()
+    # +x and -x share a height but are not adjacent: the tie-break by id
+    # must not change the graph
+    octahedron = meshes.octahedron()
+    cases["octahedron_tied"] = HeightMesh(
+        True, (F(0), F(0)) + octahedron.heights[2:], octahedron.triangles
+    )
+    for name, m in cases.items():
+        assert_matches_brute_force(m, name)
+
+
+def test_sweep_matches_brute_force_on_random_morse_meshes():
+    rng = random.Random(SEED)
+    accepted = {"torus": 0, "klein": 0, "holed": 0}
+    stars = rejected = 0
+    while min(accepted.values()) < 12:
+        family = rng.choice(sorted(accepted))
+        n = rng.randint(4, 6)
+        try:
+            m = meshes.random_grid_mesh(rng, family, n)
+        except NotGenericError:
+            rejected += 1
+            continue
+        try:
+            meshes.brute_force_reeb(m)
+        except (NotMorseError, NotGenericError) as exc:
+            with pytest.raises(type(exc)):
+                extract_kr_graph(m)
+            rejected += 1
+            continue
+        stars += assert_matches_brute_force(m, (family, n)).has_star()
+        accepted[family] += 1
+    assert rejected > 0 and stars > 0
+
+
+@pytest.mark.parametrize("n, f", [(48, 6), (64, 8)])
+def test_baseline_torus_at_scale(n, f):
+    # rescanning the mesh at every event takes 19 s and 69 s on these tori
+    # (Python 3.11, x86-64), so the bound catches a return to it
+    m = meshes.baseline_torus(n, f)
+    start = time.monotonic()
+    graph, ktype = extract_kr_graph(m)
+    elapsed = time.monotonic() - start
+    assert len(graph.vertices) == len(graph.edges) == 8 * f * f
+    assert (ktype.c0, ktype.c1, ktype.c2) == (2 * f * f, 4 * f * f, 2 * f * f)
+    lo, hi = min(m.heights), max(m.heights)
+    for i in range(1, 9):
+        c = math.floor(lo + (hi - lo) * F(i, 9)) + F(1, 2)  # heights are integers
+        assert regular_fiber_components(graph, c) == meshes.brute_force_fiber_count(
+            m, c
+        ), c
+    assert elapsed < 5.0, f"extracting the {n}x{n} torus took {elapsed:.2f}s"
 
 
 def test_extraction_invariant_under_relabelling():
