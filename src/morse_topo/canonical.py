@@ -173,9 +173,7 @@ def _cut_surface(s: Surface) -> Surface:
 def _circle_canonical(
     s: Surface, eps: Mapping[str, int], c0: int, c2: int, q: Sequence[int]
 ) -> KRGraph:
-    d = 0
-    for x in q:
-        d = math.gcd(d, x)
+    d = math.gcd(*q)
     if d != 1:
         raise InfeasibleTypeError(
             "circle-valued normal forms need a primitive homotopy vector "

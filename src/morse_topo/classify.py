@@ -62,10 +62,7 @@ def minimal_fiber_count(k: CriticalType) -> int:
     """
     if k.target is not Target.CIRCLE:
         raise ValueError("fiber counts apply to circle-valued maps")
-    d = 0
-    for x in k.q:
-        d = math.gcd(d, x)
-    return d
+    return math.gcd(*k.q)
 
 
 def is_realizable(s: Surface, k: CriticalType) -> bool:

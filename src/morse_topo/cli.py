@@ -188,10 +188,10 @@ def cmd_sp_decompose(args) -> int:
             "domain", f"matrix file declares g={h.g}, flag says g={args.g}"
         )
     try:
-        word = symplectic.stabilizer_decompose(h)
+        text = symplectic.format_word(symplectic.stabilizer_decompose(h))
     except ValueError as exc:
         raise DomainError("domain", str(exc)) from None
-    print(symplectic.format_word(word))
+    print(text)
     return 0
 
 
@@ -223,6 +223,7 @@ def cmd_factor(args) -> int:
             conjugated = change.inverse() * h * change
             word = symplectic.stabilizer_decompose(conjugated)
             basis_change = [list(row) for row in change.rows]
+        text = symplectic.format_word(word)
     except ValueError as exc:
         raise DomainError("domain", str(exc)) from None
     print(
@@ -234,7 +235,7 @@ def cmd_factor(args) -> int:
             }
         )
     )
-    print(symplectic.format_word(word))
+    print(text)
     return 0
 
 

@@ -131,12 +131,20 @@ class KRGraph:
         v = self.vertices[vid]
         if v.kind is not VertexKind.BOUNDARY:
             raise ValueError("not a boundary vertex")
+        sign = self.boundary_signs().get(vid)
+        if sign is None:
+            raise ValueError("boundary vertex has no incident edge")
+        return sign
+
+    def boundary_signs(self) -> dict[int, int]:
+        """``boundary_sign`` of every boundary vertex, from one pass over the edges."""
+        signs: dict[int, int] = {}
         for e in self.edges:
-            if e.head == vid:
-                return 1
-            if e.tail == vid:
-                return -1
-        raise ValueError("boundary vertex has no incident edge")
+            for vid, sign in ((e.head, 1), (e.tail, -1)):
+                v = self.vertices.get(vid)
+                if v is not None and v.kind is VertexKind.BOUNDARY:
+                    signs.setdefault(vid, sign)
+        return signs
 
     # -- validation ----------------------------------------------------------
 
@@ -222,8 +230,9 @@ def critical_type_of(graph: KRGraph, s: Surface, q: Sequence[int]) -> CriticalTy
     if set(graph.boundary_labels()) != set(s.boundary):
         raise ValueError("graph boundary labels do not match the surface")
     c0, c1, c2 = graph.counts()
+    signs = graph.boundary_signs()
     eps = {
-        v.boundary_label: graph.boundary_sign(v.id)
+        v.boundary_label: signs[v.id]
         for v in graph.vertices.values()
         if v.kind is VertexKind.BOUNDARY
     }

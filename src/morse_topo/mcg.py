@@ -290,10 +290,7 @@ def factor_stabilizer(h: SpMatrix, q: Sequence[int]) -> Word:
     g = h.g
     if len(q) != 2 * g:
         raise ValueError("q must have length 2g")
-    d = 0
-    for x in q:
-        d = math.gcd(d, x)
-    if d != 1:
+    if math.gcd(*q) != 1:
         raise ValueError("q must be primitive (gcd 1)")
     L = level_set_class(q, g).vector
     if h.apply(L) != L:

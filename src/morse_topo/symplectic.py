@@ -15,7 +15,9 @@ Nu(*,1)).
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,11 +56,9 @@ class SpMatrix:
     def __mul__(self, other: "SpMatrix") -> "SpMatrix":
         if not isinstance(other, SpMatrix) or other.n != self.n:
             return NotImplemented
-        a, b = self.rows, other.rows
-        n = self.n
-        cols = list(zip(*b))
+        cols = list(zip(*other.rows))
         return SpMatrix(
-            [[sum(ra[k] * cb[k] for k in range(n)) for cb in cols] for ra in a]
+            [[sum(map(operator.mul, ra, cb)) for cb in cols] for ra in self.rows]
         )
 
     def __repr__(self):
@@ -217,14 +217,9 @@ def _left_apply(p: GenPower, rows: list[list[int]], g: int):
     ``rows`` must have 2g rows but may have any width (a single column is
     enough when only a vector is being reduced).
     """
-    updates = []
-    for r, c, v in _nilpotent_part(p, g):
-        coeff = p.exp * v
-        updates.append((r, [coeff * x for x in rows[c]]))
-    for r, add in updates:
-        row = rows[r]
-        for k in range(len(add)):
-            row[k] += add[k]
+    updates = [(r, p.exp * v, rows[c]) for r, c, v in _nilpotent_part(p, g)]
+    for r, coeff, src in updates:
+        rows[r] = [x + coeff * y for x, y in zip(rows[r], src)]
 
 
 def evaluate(word: Sequence[GenPower], g: int) -> SpMatrix:
@@ -251,6 +246,14 @@ def _undo_ops(ops: Sequence[GenPower]) -> Word:
     return tuple(p._replace(exp=-p.exp) for p in ops)
 
 
+def _transpose_power(p: GenPower) -> GenPower:
+    """The generator power whose matrix is the transpose of that of ``p``."""
+    if p.name == "Nu":
+        return p._replace(i=p.j, j=p.i)
+    name = {"Ta": "Tb", "Tb": "Ta", "Mu": "Eta", "Eta": "Mu"}[p.name]
+    return p._replace(name=name, exp=-p.exp)
+
+
 def _normalize(word: Iterable[GenPower]) -> Word:
     """Merge adjacent powers of the same generator and drop zero exponents."""
     out: list[GenPower] = []
@@ -275,11 +278,21 @@ _TOKEN_RE = re.compile(r"^(Ta|Tb|Mu|Eta|Nu)(\d+)(?:,(\d+))?(?:\^(-?\d+))?$")
 
 
 def format_word(word: Sequence[GenPower]) -> str:
-    """Space-separated tokens like ``Ta1^3 Nu2,3^-1`` (unit exponents omitted)."""
+    """Space-separated tokens like ``Ta1^3 Nu2,3^-1`` (unit exponents omitted).
+
+    Raises ValueError when an exponent has more decimal digits than Python
+    converts to a string.
+    """
     parts = []
     for p in word:
         idx = str(p.i) if p.j is None else f"{p.i},{p.j}"
-        suffix = "" if p.exp == 1 else f"^{p.exp}"
+        try:
+            suffix = "" if p.exp == 1 else f"^{p.exp}"
+        except ValueError:
+            raise ValueError(
+                f"exponent of {p.name}{idx} ({p.exp.bit_length()} bits) is too "
+                "large to print"
+            ) from None
         parts.append(f"{p.name}{idx}{suffix}")
     return " ".join(parts)
 
@@ -370,10 +383,72 @@ class _Eliminator:
             return
         p = gen(name, i, j, exp)
         _left_apply(p, self.rows, self.g)
-        shifted = p._replace(
-            i=p.i + self.offset, j=None if p.j is None else p.j + self.offset
+        off = self.offset
+        self.ops.append(
+            GenPower(p.name, p.i + off, None if p.j is None else p.j + off, p.exp)
         )
-        self.ops.append(shifted)
+
+    # -- size reduction: keep the working block short ----------------------
+
+    def size_reduce(self) -> Word:
+        """Shorten the rows and columns with greedy generator moves.
+
+        Sweeps alternate between the rows (left moves, recorded in ``ops``)
+        and the columns (left moves on the transpose) until a column sweep
+        changes nothing.  Returns the word W of the column moves, so that
+        the block before the call equals ``_undo_ops(ops) * rows * W``.
+        Without this step the entries of each residual block grow with
+        every level of the elimination (intermediate swell), and a sweep
+        over the rows alone stalls where all rows are about equally long.
+        """
+        right: list[GenPower] = []
+        while True:
+            self._sweep()
+            cols = _Eliminator([list(c) for c in zip(*self.rows)], self.offset)
+            if not cols._sweep():
+                return word_inverse(right)
+            self.rows[:] = [list(r) for r in zip(*cols.rows)]
+            right += map(_transpose_power, cols.ops)
+
+    def _sweep(self) -> bool:
+        """Greedily lower the summed squared norm of the rows.
+
+        Keeps the Gram matrix G = rows * rows^T.  A move I + tN adds
+        t*v*row[c] to row[r] for each entry (r, c, v) of N, and never reads a
+        row it writes, so the squared norms of the rows it changes sum to
+        A t^2 + 2 B t + const with A = sum G[c][c] and B = sum v G[r][c].
+        The nearest integer to -B/A is applied only when it strictly lowers
+        the norm, so the sweep over all named generators terminates; it is
+        repeated until a pass changes nothing.  Returns whether any move
+        was applied.
+        """
+        rows = self.rows
+        if sum(x * x for row in rows for x in row) == len(rows):
+            # every row is a signed unit vector: the norm is already minimal
+            return False
+        gram = [[sum(map(operator.mul, ra, rb)) for rb in rows] for ra in rows]
+        applied = False
+        changed = True
+        while changed:
+            changed = False
+            for (name, i, j), nil in _sweep_moves(self.g):
+                a = b = 0
+                for r, c, v in nil:
+                    a += gram[c][c]
+                    b += v * gram[r][c]
+                t = (a - 2 * b) // (2 * a)
+                if t == 0 or t * (a * t + 2 * b) >= 0:
+                    continue
+                self.apply(name, i, j, t)
+                for r, c, v in nil:
+                    tv = t * v
+                    gram[r] = [x + tv * y for x, y in zip(gram[r], gram[c])]
+                for r, c, v in nil:
+                    tv = t * v
+                    for row in gram:
+                        row[r] += tv * row[c]
+                changed = applied = True
+        return applied
 
     # -- column stage: drive column 0 to the first basis vector ------------
 
@@ -451,6 +526,24 @@ class _Eliminator:
             raise ValueError("matrix is not symplectic: beta column irreducible")
 
 
+@functools.lru_cache(maxsize=64)
+def _sweep_moves(g: int) -> tuple:
+    """Every named generator at genus g with its nilpotent part, in sweep order.
+
+    Cached: each level sweeps its rows and its columns at least once
+    each with the same list, and factorisations at one genus share it.
+    """
+    moves = []
+    for i in range(1, g + 1):
+        moves += [("Ta", i, None), ("Tb", i, None)]
+        for j in range(1, g + 1):
+            if j != i:
+                moves.append(("Nu", i, j))
+            if j > i:
+                moves += [("Mu", i, j), ("Eta", i, j)]
+    return tuple((m, tuple(_nilpotent_part(gen(*m), g))) for m in moves)
+
+
 def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:
     """Drop the first hyperbolic pair from a block-diagonal matrix."""
     g = len(rows) // 2
@@ -464,20 +557,30 @@ def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:
     return [[rows[r][c] for c in keep] for r in keep]
 
 
-def _factor(rows: list[list[int]], offset: int) -> Word:
-    """Word over indices offset+1..offset+g for the matrix held in ``rows``."""
-    g = len(rows) // 2
-    if g == 0:
-        return ()
-    if all(
-        rows[r][c] == (1 if r == c else 0) for r in range(2 * g) for c in range(2 * g)
+def _factor(rows: list[list[int]], offset: int) -> list[GenPower]:
+    """Unnormalised word over indices offset+1..offset+g for ``rows``.
+
+    Each level size-reduces the block, drives its first hyperbolic pair to
+    the identity and continues on the residual block of genus one less:
+    block = U * diag(I, residual) * W, so the word is U_1 U_2 ... W_2 W_1.
+    """
+    head: list[GenPower] = []
+    tails: list[Word] = []
+    while rows and any(
+        x != (1 if r == c else 0)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
     ):
-        return ()
-    elim = _Eliminator(rows, offset)
-    elim.reduce_first_column()
-    elim.fix_first_beta()
-    rest = _factor(_strip_first_pair(rows), offset + 1)
-    return _normalize(_undo_ops(elim.ops) + rest)
+        elim = _Eliminator(rows, offset)
+        tails.append(elim.size_reduce())
+        elim.reduce_first_column()
+        elim.fix_first_beta()
+        head += _undo_ops(elim.ops)
+        rows = _strip_first_pair(rows)
+        offset += 1
+    for tail in reversed(tails):
+        head += tail
+    return head
 
 
 def general_sp_factor(h: SpMatrix, first_index: int = 2) -> Word:
@@ -492,7 +595,7 @@ def general_sp_factor(h: SpMatrix, first_index: int = 2) -> Word:
         raise ValueError("first_index must be at least 1")
     if not h.is_symplectic():
         raise ValueError("matrix is not symplectic")
-    word = _factor([list(row) for row in h.rows], first_index - 1)
+    word = _normalize(_factor([list(row) for row in h.rows], first_index - 1))
     return _embed_check(word, h, first_index)
 
 
@@ -530,7 +633,7 @@ def stabilizer_decompose(h: SpMatrix) -> Word:
     elim = _Eliminator(rows, 0)
     elim.fix_first_beta()
     rest = _factor(_strip_first_pair(rows), 1)
-    word = _normalize(_undo_ops(elim.ops) + rest)
+    word = _normalize(_undo_ops(elim.ops) + tuple(rest))
     if any(_is_forbidden(p) for p in word):
         raise AssertionError("stabilizer word uses a forbidden generator")
     return word
@@ -556,10 +659,7 @@ def symplectic_completion(v: Sequence[int]) -> SpMatrix:
     v = [int(x) for x in v]
     if len(v) % 2 != 0 or not v:
         raise ValueError("vector length must be even and positive")
-    d = 0
-    for x in v:
-        d = math.gcd(d, x)
-    if d != 1:
+    if math.gcd(*v) != 1:
         raise ValueError("vector must be primitive (gcd of entries 1)")
     g = len(v) // 2
     elim = _Eliminator([[x] for x in v], offset=0)

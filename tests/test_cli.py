@@ -150,6 +150,30 @@ def test_sp_decompose_round_trip(tmp_path):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sp-decompose"],
+        ["factor", "--q", "0,0,1,0", "--matrix"],
+        ["factor", "--q", "1,1,0,0", "--matrix"],
+    ],
+)
+def test_oversized_word_is_domain_error(tmp_path, monkeypatch, capsys, argv):
+    # an exponent with over 4300 decimal digits cannot be converted to text
+    from morse_topo import cli, mcg, symplectic
+
+    huge = (gen("Ta", 2, None, 10**5000),)
+    monkeypatch.setattr(symplectic, "stabilizer_decompose", lambda h: huge)
+    monkeypatch.setattr(mcg, "stabilizer_decompose", lambda h: huge)
+    path = tmp_path / "h.mat"
+    path.write_text(format_matrix(symplectic.SpMatrix.identity(2)))
+    assert cli.main([*argv, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("domain: exponent of Ta2 ")
+
+
 def test_admissible_verdicts():
     r = run_cli("admissible", "--q", "0,1", "--gamma", "0,1")
     assert r.stdout.strip() == '{"admissible":false,"degree":1}'

@@ -1,10 +1,12 @@
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morse_topo.symplectic import (
+    GenPower,
     SpMatrix,
     evaluate,
     format_matrix,
@@ -209,6 +211,49 @@ def test_stabilizer_rejects_non_stabilizing():
         stabilizer_decompose(named_generator("Tb", 1, g=2))
     with pytest.raises(ValueError):
         stabilizer_decompose(SpMatrix([[1, 1], [1, 1]]))
+
+
+def bench_style_word(g, length, rng, exps=(-2, -1, 1, 2)):
+    """Allowed word of exactly ``length`` letters, drawn as the sp-factor
+    benchmark draws its inputs: name, then indices, then exponent."""
+    word = []
+    while len(word) < length:
+        name, i, j = rng.choice(ALLOWED_NAMES), rng.randint(1, g), None
+        if name not in ("Ta", "Tb"):
+            j = rng.randint(1, g)
+            if j == i:
+                continue
+        if is_forbidden(GenPower(name, i, j, 1)):
+            continue
+        word.append(gen(name, i, j, rng.choice(exps)))
+    return tuple(word)
+
+
+def max_exponent_bits(word):
+    return max((abs(p.exp).bit_length() for p in word), default=0)
+
+
+@pytest.mark.parametrize("g", [8, 12, 16])
+def test_stabilizer_word_size_is_bounded(g):
+    # polynomial size: exponents stay near the input's entries and the
+    # word length is quadratic in g, where unreduced elimination grew
+    # exponents to tens of thousands of bits by g=13
+    rng = random.Random(f"size-bound:{g}:{SEED}")
+    for _ in range(3):
+        h = evaluate(bench_style_word(g, 20 * g, rng), g)
+        word = stabilizer_decompose(h)
+        assert max_exponent_bits(word) <= 128
+        assert len(word) <= 32 * g * g
+        assert evaluate(word, g) == h
+        assert not any(is_forbidden(p) for p in word)
+
+
+def test_genus_16_decomposition_time():
+    rng = random.Random(f"timing:{SEED}")
+    h = evaluate(bench_style_word(16, 320, rng), 16)
+    start = time.perf_counter()
+    stabilizer_decompose(h)
+    assert time.perf_counter() - start < 2.0
 
 
 def random_general_word(rng, g, max_len=25):
