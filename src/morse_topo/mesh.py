@@ -2,7 +2,8 @@
 
 A mesh is a triangulated compact surface whose vertices carry heights in
 Q.  Boundary circles are explicit vertex cycles, each at a constant
-height.  Extraction sorts the heights once and from then on compares only
+height.  Building a mesh checks it and orders the link of every vertex
+once, from one pass over the triangles.  Extraction sorts the heights once and from then on compares only
 integer ranks: it classifies interior vertices by the runs of lower
 vertices around their links, then sweeps the vertices bottom-up once,
 labelling every edge that crosses the sweep level with the id of its level
@@ -13,7 +14,7 @@ event heights collide are rejected rather than perturbed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
@@ -39,6 +40,10 @@ class HeightMesh:
     heights: tuple[Fraction, ...]  # indexed by vertex id 0..n-1
     triangles: tuple[tuple[int, int, int], ...]
     boundary_cycles: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    # ordered link of each vertex, built when the mesh is checked: a cycle,
+    # or for a boundary vertex a path whose two ends are its neighbours on
+    # the boundary cycle
+    _links: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -57,20 +62,18 @@ class HeightMesh:
                 for label, cyc in self.boundary_cycles
             ),
         )
-        _check_mesh(self)
+        object.__setattr__(self, "_links", _check_mesh(self))
 
     @property
     def num_vertices(self) -> int:
         return len(self.heights)
 
     def edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for a, b, c in self.triangles:
-            out.update({_norm(a, b), _norm(b, c), _norm(a, c)})
-        return out
+        return {(v, w) for v, link in enumerate(self._links) for w in link if v < w}
 
     def euler_characteristic(self) -> int:
-        return self.num_vertices - len(self.edges()) + len(self.triangles)
+        num_edges = sum(map(len, self._links)) // 2
+        return self.num_vertices - num_edges + len(self.triangles)
 
     def boundary_vertex_cycle(self, vid: int) -> str | None:
         for label, cyc in self.boundary_cycles:
@@ -79,124 +82,136 @@ class HeightMesh:
         return None
 
 
-def _norm(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
+    """Check that ``m`` is a valid mesh and return the ordered link of each
+    vertex.
 
-
-def _check_mesh(m: HeightMesh):
+    The incidence is built once: the triangles on each edge, keyed
+    lo*n+hi, and the star (the triangles) of each vertex.  Each link is
+    walked from triangle to triangle across the edges at its vertex, and a
+    walk that misses part of the star (a pinched vertex) is rejected; one
+    walk over the triangles across shared edges decides connectivity and
+    orientability.
+    """
     n = m.num_vertices
     if n == 0 or not m.triangles:
         raise ValueError("mesh needs vertices and triangles")
-    used = set()
-    edge_count: dict[tuple[int, int], int] = {}
-    for t in m.triangles:
+    star: list[list[int]] = [[] for _ in range(n)]
+    edge_tris: dict[int, list[int]] = {}
+    for i, t in enumerate(m.triangles):
         if len(set(t)) != 3:
             raise ValueError(f"degenerate triangle {t}")
         for v in t:
             if not 0 <= v < n:
                 raise ValueError(f"triangle vertex {v} out of range")
-            used.add(v)
-        for e in (_norm(t[0], t[1]), _norm(t[1], t[2]), _norm(t[0], t[2])):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if used != set(range(n)):
+            star[v].append(i)
+        a, b, c = t
+        for u, w in ((a, b), (b, c), (a, c)):
+            edge_tris.setdefault(u * n + w if u < w else w * n + u, []).append(i)
+    if not all(star):
         raise ValueError("every vertex must lie on a triangle")
 
     boundary_edges = set()
-    boundary_vertices: dict[int, str] = {}
+    successor: dict[int, int] = {}  # boundary vertex -> next vertex on its cycle
     for label, cyc in m.boundary_cycles:
         if len(cyc) < 3 or len(set(cyc)) != len(cyc):
             raise ValueError(f"boundary cycle {label!r} must be a simple cycle")
+        for v in cyc:
+            if not 0 <= v < n:
+                raise ValueError(f"boundary vertex {v} out of range")
         heights = {m.heights[v] for v in cyc}
         if len(heights) != 1:
             raise NotMorseError(
                 f"boundary cycle {label!r} is not at constant height"
             )
-        for v in cyc:
-            if v in boundary_vertices:
+        for v, w in zip(cyc, cyc[1:] + cyc[:1]):
+            if v in successor:
                 raise ValueError(f"vertex {v} lies on two boundary cycles")
-            boundary_vertices[v] = label
-        for i in range(len(cyc)):
-            e = _norm(cyc[i], cyc[(i + 1) % len(cyc)])
-            if e in boundary_edges:
-                raise ValueError(f"repeated boundary edge {e}")
-            boundary_edges.add(e)
+            successor[v] = w
+            boundary_edges.add(v * n + w if v < w else w * n + v)
     labels = [label for label, _ in m.boundary_cycles]
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
 
-    for e, cnt in edge_count.items():
+    for e, tris in edge_tris.items():
         if e in boundary_edges:
-            if cnt != 1:
-                raise ValueError(f"boundary edge {e} borders {cnt} triangles")
-        elif cnt != 2:
+            if len(tris) != 1:
+                raise ValueError(
+                    f"boundary edge {divmod(e, n)} borders {len(tris)} triangles"
+                )
+        elif len(tris) != 2:
             raise ValueError(
-                f"interior edge {e} borders {cnt} triangles (surface is not "
-                "closed there or not a manifold)"
+                f"interior edge {divmod(e, n)} borders {len(tris)} triangles "
+                "(surface is not closed there or not a manifold)"
             )
     for e in boundary_edges:
-        if e not in edge_count:
-            raise ValueError(f"boundary edge {e} is not a mesh edge")
+        if e not in edge_tris:
+            raise ValueError(f"boundary edge {divmod(e, n)} is not a mesh edge")
 
     # flat edges are allowed only along a boundary cycle
-    for a, b in edge_count:
-        if m.heights[a] == m.heights[b] and _norm(a, b) not in boundary_edges:
+    for e in edge_tris:
+        a, b = divmod(e, n)
+        if m.heights[a] == m.heights[b] and e not in boundary_edges:
             raise NotGenericError(f"flat interior edge {(a, b)}")
 
-    if not _mesh_connected(m, edge_count):
+    # every edge at v borders two triangles, except the two boundary edges
+    # of a boundary vertex, so a walk from a triangle at v closes a cycle,
+    # or runs from one boundary edge to the other
+    links = []
+    for v in range(n):
+        if v in successor:
+            a = successor[v]
+            t = edge_tris[v * n + a if v < a else a * n + v][0]
+        else:
+            t = star[v][0]
+            x, y, _ = m.triangles[t]
+            a = y if x == v else x
+        link = [a]
+        w = a
+        while True:
+            x, y, z = m.triangles[t]
+            # the vertex of t that is neither v nor the last one on the link
+            w = x if x != v and x != w else y if y != v and y != w else z
+            if w == a:
+                break  # the cycle is closed
+            link.append(w)
+            pair = edge_tris[v * n + w if v < w else w * n + v]
+            if len(pair) == 1:
+                break  # the other boundary edge
+            t = pair[0] + pair[1] - t  # the other triangle on the edge v w
+        if len(link) - (v in successor) != len(star[v]):
+            raise ValueError(f"vertex {v}: link is not connected")
+        links.append(tuple(link))
+
+    # one walk from the first triangle across shared edges reaches every
+    # triangle of a connected mesh, and orients each one so that it runs
+    # along a shared edge the other way from its neighbour
+    sign = [0] * len(m.triangles)
+    sign[0] = 1
+    stack = [0]
+    orientable = True
+    while stack:
+        t = stack.pop()
+        a, b, c = m.triangles[t]
+        for u, w in ((a, b), (b, c), (c, a)):
+            pair = edge_tris[u * n + w if u < w else w * n + u]
+            if len(pair) == 1:
+                continue
+            nb = pair[0] + pair[1] - t
+            tri = m.triangles[nb]
+            same_way = tri[tri.index(u) - 2] == w  # nb runs from u to w too
+            want = -sign[t] if same_way else sign[t]
+            if not sign[nb]:
+                sign[nb] = want
+                stack.append(nb)
+            elif sign[nb] != want:
+                orientable = False
+    if not all(sign):
         raise ValueError("mesh must be connected")
-    if _is_orientable(m) != m.orientable:
+    if orientable != m.orientable:
         word = "orientable" if m.orientable else "non-orientable"
         raise ValueError(f"mesh declared {word} but triangle gluing disagrees")
-
-
-def _mesh_connected(m: HeightMesh, edge_count) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in range(m.num_vertices)}
-    for a, b in edge_count:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == m.num_vertices
-
-
-def _is_orientable(m: HeightMesh) -> bool:
-    """Propagate triangle orientations across shared edges."""
-    side: dict[tuple[int, int], list[int]] = {}
-    for idx, (a, b, c) in enumerate(m.triangles):
-        for e in (_norm(a, b), _norm(b, c), _norm(a, c)):
-            side.setdefault(e, []).append(idx)
-    orient: dict[int, int] = {}
-
-    def directed_edges(idx, flip):
-        a, b, c = m.triangles[idx]
-        cyc = (a, b, c) if flip == 1 else (a, c, b)
-        return [(cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0])]
-
-    for start in range(len(m.triangles)):
-        if start in orient:
-            continue
-        orient[start] = 1
-        stack = [start]
-        while stack:
-            idx = stack.pop()
-            des = directed_edges(idx, orient[idx])
-            for u, v in des:
-                for nb in side[_norm(u, v)]:
-                    if nb == idx:
-                        continue
-                    # consistent orientation traverses the shared edge oppositely
-                    want = -1 if (u, v) in directed_edges(nb, 1) else 1
-                    if nb not in orient:
-                        orient[nb] = want
-                        stack.append(nb)
-                    elif orient[nb] != want:
-                        return False
-    return True
+    return tuple(links)
 
 
 def surface_of(m: HeightMesh) -> Surface:
@@ -272,57 +287,10 @@ def format_hmesh(m: HeightMesh) -> str:
 # PL classification
 
 
-def _vertex_links(m: HeightMesh) -> dict[int, list[tuple[int, int]]]:
-    """For each vertex, the edges of its link (opposite sides of triangles)."""
-    link: dict[int, list[tuple[int, int]]] = {v: [] for v in range(m.num_vertices)}
-    for a, b, c in m.triangles:
-        link[a].append((b, c))
-        link[b].append((a, c))
-        link[c].append((a, b))
-    return link
-
-
-def _link_cycle(vid: int, pairs: list[tuple[int, int]], on_boundary: bool):
-    """Order the link of a vertex into a cycle (interior) or path (boundary)."""
-    adj: dict[int, list[int]] = {}
-    for u, w in pairs:
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    degrees = {u: len(v) for u, v in adj.items()}
-    odd = [u for u, d in degrees.items() if d == 1]
-    if on_boundary:
-        if len(odd) != 2 or any(d > 2 for d in degrees.values()):
-            raise ValueError(f"vertex {vid}: boundary link is not a simple path")
-        start = min(odd)
-    else:
-        if odd or any(d != 2 for d in degrees.values()):
-            raise ValueError(f"vertex {vid}: link is not a simple cycle")
-        start = min(adj)
-    order = [start]
-    prev = None
-    while True:
-        nexts = [w for w in adj[order[-1]] if w != prev]
-        if not nexts:
-            break
-        prev = order[-1]
-        order.append(nexts[0])
-        if not on_boundary and order[-1] == start:
-            order.pop()
-            break
-        if len(order) > len(adj):
-            raise ValueError(f"vertex {vid}: link is not connected")
-    if len(order) != len(adj):
-        raise ValueError(f"vertex {vid}: link is not connected")
-    return order
-
-
 @dataclass(frozen=True)
 class _Classification:
     order: list[int]  # vertex ids sorted by height, ties by id
     rank: list[int]  # position of each vertex in ``order``
-    # ordered link of each vertex: a cycle, or for a boundary vertex a path
-    # whose two ends are its neighbours on the boundary cycle
-    links: list[list[int]]
     minima: tuple[int, ...]
     saddles: tuple[int, ...]
     maxima: tuple[int, ...]
@@ -340,14 +308,10 @@ def _classify_vertices(m: HeightMesh) -> _Classification:
     rank = [0] * len(order)
     for i, v in enumerate(order):
         rank[v] = i
-    pairs = _vertex_links(m)
     on_boundary = {v: label for label, cyc in m.boundary_cycles for v in cyc}
-    links = []
     minima, saddles, maxima = [], [], []
     cycle_sides: dict[str, set[int]] = {label: set() for label, _ in m.boundary_cycles}
-    for v in range(m.num_vertices):
-        link = _link_cycle(v, pairs[v], v in on_boundary)
-        links.append(link)
+    for v, link in enumerate(m._links):
         r = rank[v]
         if v in on_boundary:
             cycle_sides[on_boundary[v]].update(
@@ -379,7 +343,7 @@ def _classify_vertices(m: HeightMesh) -> _Classification:
                 f"boundary cycle {label!r} has interior neighbours on both sides"
             )
     return _Classification(
-        order, rank, links, tuple(minima), tuple(saddles), tuple(maxima), eps
+        order, rank, tuple(minima), tuple(saddles), tuple(maxima), eps
     )
 
 
@@ -435,7 +399,7 @@ def _split_circle(v: int, runs, rank: list[int], links, n: int):
 def _sweep(m: HeightMesh, cls: _Classification):
     """Graph vertices and (tail, head) arcs of the Reeb graph, by one sweep."""
     n = m.num_vertices
-    rank, links = cls.rank, cls.links
+    rank, links = cls.rank, m._links
     special: dict[int, object] = {
         **dict.fromkeys(cls.minima, VertexKind.MIN),
         **dict.fromkeys(cls.saddles, VertexKind.SADDLE3),
@@ -549,7 +513,8 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
       a split (an ordinary saddle), whose edges get a fresh id; walkers that
       reach each other's run share one circle (a degree-two saddle).
 
-    The cost is O(m) for the links and the sweep, plus the smaller side of
+    The cost is O(m) for the classification and the sweep, which read the
+    vertex links ordered when the mesh was built, plus the smaller side of
     every split and the walks at degree-two saddles, plus one sort of the
     n heights; exact heights are only compared in that sort and copied to
     the graph's vertices.  Graph vertices are numbered in height order and

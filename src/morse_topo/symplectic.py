@@ -77,14 +77,25 @@ class SpMatrix:
         return tuple(sum(row[k] * vec[k] for k in range(self.n)) for row in self.rows)
 
     def is_symplectic(self) -> bool:
-        return self.transpose() * omega_matrix(self.g) * self == omega_matrix(self.g)
+        """M^T Omega M == Omega: the (alternating) form is 1 on columns
+        (i, g+i) and 0 on every other pair j < k."""
+        g, cols = self.g, list(zip(*self.rows))
+        return all(
+            omega_product(cols[j], cols[k]) == (k == j + g)
+            for j in range(self.n)
+            for k in range(j + 1, self.n)
+        )
 
     def inverse(self) -> "SpMatrix":
-        """Exact inverse of a symplectic matrix: -Omega * M^T * Omega."""
+        """Exact inverse of a symplectic matrix [[A, B], [C, D]]:
+        [[D^T, -B^T], [-C^T, A^T]]."""
         if not self.is_symplectic():
             raise ValueError("matrix is not symplectic")
-        om = omega_matrix(self.g)
-        inv = SpMatrix([[-x for x in row] for row in (om * self.transpose() * om).rows])
+        g, t = self.g, list(zip(*self.rows))  # M^T = [[A^T, C^T], [B^T, D^T]]
+        inv = SpMatrix(
+            [row[g:] + tuple(-x for x in row[:g]) for row in t[g:]]
+            + [tuple(-x for x in row[g:]) + row[:g] for row in t[:g]]
+        )
         if inv * self != SpMatrix.identity(self.g):
             raise AssertionError("computed inverse does not invert the matrix")
         return inv

@@ -30,6 +30,15 @@ def tetrahedron() -> HeightMesh:
     )
 
 
+# two tetrahedra glued at vertex 0, as (heights, triangles): every edge
+# borders two triangles, but the link of vertex 0 is two circles, so this is
+# not a surface and HeightMesh rejects it
+PINCHED_TETRAHEDRA = (
+    tuple(Fraction(h) for h in (0, 1, 2, 3, -1, -2, -3)),
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)),
+)
+
+
 def octahedron() -> HeightMesh:
     """Sphere with a tilted linear height (poles at the extremes)."""
     # vertices: +x, -x, +y, -y, +z, -z with height z + x/4 + y/16

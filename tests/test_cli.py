@@ -73,6 +73,32 @@ def test_reeb_domain_error_emits_no_dot(tmp_path):
     assert json.loads(r.stderr)["error"].startswith("domain:")
 
 
+def _pinched_text():
+    heights, triangles = meshes.PINCHED_TETRAHEDRA
+    lines = ["HMESH orientable"] + [f"v {i} {h}" for i, h in enumerate(heights)]
+    return "\n".join(lines + ["t %d %d %d" % t for t in triangles]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            format_hmesh(meshes.tetrahedron()) + "b rim 0 1 99\n",
+            "domain: boundary vertex 99 out of range",
+        ),
+        (_pinched_text(), "domain: vertex 0: link is not connected"),
+    ],
+    ids=["boundary-vertex-out-of-range", "pinched-vertex"],
+)
+def test_reeb_rejects_invalid_mesh(tmp_path, text, message):
+    path = tmp_path / "bad.hmesh"
+    path.write_text(text)
+    r = run_cli("reeb", str(path))
+    assert r.returncode == 1 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert json.loads(r.stderr)["error"] == message
+
+
 def test_classify_verdicts(tmp_path):
     a = tmp_path / "a.ktype"
     b = tmp_path / "b.ktype"

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meshes
 from morse_topo.krgraph import (
@@ -189,6 +190,24 @@ def test_baseline_torus_at_scale(n, f):
     assert elapsed < 5.0, f"extracting the {n}x{n} torus took {elapsed:.2f}s"
 
 
+def test_hundred_thousand_vertex_torus():
+    # 317 x 317 = 100,489 vertices.  The 0.1 l term of the baseline height
+    # is not periodic in l, so the seam l = 316 -> 0 adds critical points to
+    # a plain torus's (1, 2, 1); the oracle ``meshes._oracle_classify``
+    # counts the same (8, 14, 6) on this mesh.
+    m = meshes.baseline_torus(317, 1)
+    start = time.monotonic()
+    m = HeightMesh(m.orientable, m.heights, m.triangles)
+    graph, ktype = extract_kr_graph(m)
+    elapsed = time.monotonic() - start
+    assert m.num_vertices == 100_489
+    assert (ktype.c0, ktype.c1, ktype.c2) == (8, 14, 6)
+    assert m.euler_characteristic() == 0
+    # the Reeb graph of a torus has one loop: as many edges as vertices
+    assert len(graph.vertices) == len(graph.edges) == 28
+    assert elapsed < 10.0, f"building and extracting took {elapsed:.2f}s"
+
+
 def test_extraction_invariant_under_relabelling():
     m = meshes.octahedron()
     n = m.num_vertices
@@ -233,6 +252,47 @@ def test_hmesh_round_trip():
     for m in meshes.corpus().values():
         again = parse_hmesh(format_hmesh(m))
         assert again == m
+
+
+CORPUS_TEXTS = [format_hmesh(m) for _, m in sorted(meshes.corpus().items())]
+
+
+@st.composite
+def mutated_hmesh(draw):
+    """HMESH text of a corpus mesh with a few records deleted, duplicated,
+    renumbered or added; ids may fall outside 0..n-1."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    n = sum(line.startswith("v ") for line in lines)
+    ids = st.integers(-3, n + 3)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))  # the header stays
+        op = draw(st.sampled_from(["delete", "duplicate", "renumber", "triangle", "boundary"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "renumber":  # a vertex id, or a height
+            parts = lines[i].split()
+            j = draw(st.integers(2 if parts[0] == "b" else 1, len(parts) - 1))
+            parts[j] = str(draw(ids))
+            lines[i] = " ".join(parts)
+        elif op == "triangle":
+            lines.append("t " + " ".join(str(draw(ids)) for _ in range(3)))
+        else:
+            cycle = draw(st.lists(ids, min_size=1, max_size=6))
+            lines.append(f"b extra{i} " + " ".join(map(str, cycle)))
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_hmesh())
+@settings(deadline=None, max_examples=200)
+def test_mutated_hmesh_gives_a_graph_or_a_declared_error(text):
+    try:
+        m = parse_hmesh(text)
+        graph, ktype = extract_kr_graph(m)
+    except (MeshFormatError, NotMorseError, NotGenericError, ValueError):
+        return
+    assert critical_type_of(graph, surface_of(m), ktype.q) == ktype
 
 
 def test_hmesh_parse_errors():
@@ -303,6 +363,18 @@ def test_boundary_tangency_rejected():
     m = HeightMesh(True, heights, tris, (("rim", (0, 1, 2, 3)),))
     with pytest.raises(NotMorseError, match="both sides"):
         extract_kr_graph(m)
+
+
+@pytest.mark.parametrize("vertex", [99, -1])
+def test_boundary_vertex_out_of_range_rejected(vertex):
+    m = meshes.tetrahedron()
+    with pytest.raises(ValueError, match=f"boundary vertex {vertex} out of range"):
+        HeightMesh(True, m.heights, m.triangles, (("rim", (0, 1, vertex)),))
+
+
+def test_pinched_vertex_rejected():
+    with pytest.raises(ValueError, match="vertex 0: link is not connected"):
+        HeightMesh(True, *meshes.PINCHED_TETRAHEDRA)
 
 
 def test_mesh_manifold_validation():
