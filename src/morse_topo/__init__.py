@@ -4,11 +4,17 @@ The package computes the complete path-component invariant of a Morse
 mapping (homotopy vector, critical counts, boundary signs) from
 triangulated input, builds and compares Kronrod-Reeb graphs and their
 normal forms, and carries the exact integer symplectic machinery used to
-factor homology actions that fix a fiber class.
+factor homology actions that fix a fiber class.  Text that does not parse
+raises ``FormatError``, a ``ValueError``; the package logs through the
+``morse_topo`` logger, which prints nothing unless the application
+configures logging.
 """
+
+import logging
 
 from .surface import (
     CriticalType,
+    FormatError,
     Surface,
     Target,
     critical_type_from_json,
@@ -83,5 +89,7 @@ from .mcg import (
     twist_action,
     twist_admissible,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -4,20 +4,26 @@ Subcommands: ``reeb`` (mesh to DOT plus critical-type JSON), ``classify``
 (compare two critical-type files), ``canonical`` (normal-form graph for a
 requested type), ``sp-decompose`` (stabilizer word for a symplectic
 matrix), ``admissible``/``factor``/``generators`` (homology action of
-mapping classes).  Domain failures exit 1 with a one-line JSON error on
-stderr; usage errors exit 2.  All output is deterministic.
+mapping classes).  Bad input exits 1 with a one-line JSON error on stderr:
+``io:`` for an unreadable file, ``format:`` for text that does not parse
+(``FormatError``), ``domain:`` for any other ``ValueError``.  Any other
+exception exits 3 with an ``internal:`` error and is logged to the
+``morse_topo`` logger; usage errors exit 2.  All output is deterministic.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import canonical, classify, krgraph, mcg, mesh, surface, symplectic
-from .surface import Surface, Target
+from .surface import FormatError, Surface, Target
 
 
 class DomainError(Exception):
+    """An error whose message carries its own prefix (``io:``)."""
+
     def __init__(self, prefix: str, message: str):
         super().__init__(f"{prefix}: {message}")
 
@@ -34,14 +40,16 @@ def _json_line(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise FormatError(f"bad {what}") from None
+
+
 def _parse_vector(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise DomainError("format", f"bad integer vector {text!r}") from None
+    return _parse_ints(text.split(","), f"integer vector {text!r}") if text else ()
 
 
 def _parse_boundary_items(text: str) -> tuple[list[str], dict[str, int]]:
@@ -51,9 +59,7 @@ def _parse_boundary_items(text: str) -> tuple[list[str], dict[str, int]]:
         for item in text.split(","):
             label, _, sign = item.partition(":")
             if sign not in ("+", "-") or not label:
-                raise DomainError(
-                    "format", f"boundary item {item!r} must be label:+ or label:-"
-                )
+                raise FormatError(f"boundary item {item!r} must be label:+ or label:-")
             labels.append(label)
             eps[label] = 1 if sign == "+" else -1
     return labels, eps
@@ -63,39 +69,24 @@ def _parse_surface_descriptor(desc: str) -> tuple[Surface, dict[str, int]]:
     """Compact form 'orientable:g=2:V1:+,V2:-' (boundary part optional)."""
     head, _, rest = desc.partition(":")
     if head not in ("orientable", "nonorientable"):
-        raise DomainError(
-            "format", f"descriptor must start with orientable|nonorientable: {desc!r}"
-        )
+        raise FormatError(f"descriptor must start with orientable|nonorientable: {desc!r}")
     gpart, _, boundary = rest.partition(":")
     if not gpart.startswith("g="):
-        raise DomainError("format", f"descriptor needs a g=<genus> part: {desc!r}")
-    try:
-        genus = int(gpart[2:])
-    except ValueError:
-        raise DomainError("format", f"bad genus in descriptor {desc!r}") from None
+        raise FormatError(f"descriptor needs a g=<genus> part: {desc!r}")
+    (genus,) = _parse_ints([gpart[2:]], f"genus in descriptor {desc!r}")
     labels, eps = _parse_boundary_items(boundary)
-    try:
-        s = Surface(head == "orientable", genus, tuple(labels))
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    return s, eps
+    return Surface(head == "orientable", genus, tuple(labels)), eps
 
 
 def _parse_surface(args) -> tuple[Surface, dict[str, int]]:
-    if getattr(args, "surface", None):
+    if args.surface:
         if args.genus is not None or args.boundary or args.nonorientable:
-            raise DomainError(
-                "format", "--surface replaces --genus/--nonorientable/--boundary"
-            )
+            raise FormatError("--surface replaces --genus/--nonorientable/--boundary")
         return _parse_surface_descriptor(args.surface)
     if args.genus is None:
-        raise DomainError("format", "one of --surface or --genus is required")
+        raise FormatError("one of --surface or --genus is required")
     labels, eps = _parse_boundary_items(args.boundary)
-    try:
-        s = Surface(not args.nonorientable, args.genus, tuple(labels))
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    return s, eps
+    return Surface(not args.nonorientable, args.genus, tuple(labels)), eps
 
 
 def _add_surface_arguments(p: argparse.ArgumentParser):
@@ -122,39 +113,27 @@ def _target(args) -> Target:
     return Target.CIRCLE if args.target == "circle" else Target.LINE
 
 
-def cmd_reeb(args) -> int:
-    text = _read_file(args.mesh)
-    try:
-        m = mesh.parse_hmesh(text)
-    except mesh.MeshFormatError as exc:
-        raise DomainError("format", str(exc)) from None
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    try:
-        graph, ktype = mesh.extract_kr_graph(m)
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
+def _write_graph(graph, ktype):
     sys.stdout.write(krgraph.to_dot(graph))
     sys.stdout.write("#KTYPE " + surface.critical_type_to_json(ktype) + "\n")
+
+
+def cmd_reeb(args) -> int:
+    _write_graph(*mesh.extract_kr_graph(mesh.parse_hmesh(_read_file(args.mesh))))
     return 0
 
 
 def cmd_classify(args) -> int:
-    types = []
-    for path in (args.first, args.second):
-        try:
-            types.append(surface.critical_type_from_json(_read_file(path)))
-        except ValueError as exc:
-            raise DomainError("format", str(exc)) from None
-    try:
-        if args.up_to_flip:
-            equal = classify.equivalent_up_to_flip(types[0], types[1])
-            reason = "ok" if equal else classify.equivalence_reason(*types)
-        else:
-            reason = classify.equivalence_reason(*types)
-            equal = reason == "ok"
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
+    types = [
+        surface.critical_type_from_json(_read_file(path))
+        for path in (args.first, args.second)
+    ]
+    if args.up_to_flip:
+        equal = classify.equivalent_up_to_flip(types[0], types[1])
+        reason = "ok" if equal else classify.equivalence_reason(*types)
+    else:
+        reason = classify.equivalence_reason(*types)
+        equal = reason == "ok"
     print(_json_line({"equivalent": equal, "reason": reason}))
     return 0
 
@@ -162,90 +141,51 @@ def cmd_classify(args) -> int:
 def cmd_canonical(args) -> int:
     s, eps = _parse_surface(args)
     q = _parse_vector(args.q) if args.q is not None else None
-    try:
-        graph = canonical.canonical_kr_graph(s, eps, args.c0, args.c2, q, _target(args))
-        ktype = krgraph.critical_type_of(
-            graph, s, q if q is not None else (0,) * s.homology_rank
-        )
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    sys.stdout.write(krgraph.to_dot(graph))
-    sys.stdout.write("#KTYPE " + surface.critical_type_to_json(ktype) + "\n")
+    graph = canonical.canonical_kr_graph(s, eps, args.c0, args.c2, q, _target(args))
+    ktype = krgraph.critical_type_of(
+        graph, s, q if q is not None else (0,) * s.homology_rank
+    )
+    _write_graph(graph, ktype)
     return 0
 
 
-def _read_matrix(path: str) -> symplectic.SpMatrix:
-    try:
-        return symplectic.parse_matrix(_read_file(path))
-    except ValueError as exc:
-        raise DomainError("format", str(exc)) from None
-
-
 def cmd_sp_decompose(args) -> int:
-    h = _read_matrix(args.matrix)
+    h = symplectic.parse_matrix(_read_file(args.matrix))
     if args.g is not None and args.g != h.g:
-        raise DomainError(
-            "domain", f"matrix file declares g={h.g}, flag says g={args.g}"
-        )
-    try:
-        text = symplectic.format_word(symplectic.stabilizer_decompose(h))
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    print(text)
+        raise ValueError(f"matrix file declares g={h.g}, flag says g={args.g}")
+    print(symplectic.format_word(symplectic.stabilizer_decompose(h)))
     return 0
 
 
 def cmd_admissible(args) -> int:
-    q = _parse_vector(args.q)
-    gamma = _parse_vector(args.gamma)
-    try:
-        degree = mcg.degree_along(q, gamma)
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
+    degree = mcg.degree_along(_parse_vector(args.q), _parse_vector(args.gamma))
     print(_json_line({"admissible": degree == 0, "degree": degree}))
     return 0
 
 
 def cmd_factor(args) -> int:
     q = _parse_vector(args.q)
-    h = _read_matrix(args.matrix)
-    try:
-        L = mcg.level_set_class(q, h.g).vector
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
+    h = symplectic.parse_matrix(_read_file(args.matrix))
+    L = mcg.level_set_class(q, h.g).vector
     e0 = tuple(1 if i == 0 else 0 for i in range(2 * h.g))
     basis_change = None
-    try:
-        if L == e0:
-            word = mcg.factor_stabilizer(h, q)
-        else:
-            change = symplectic.symplectic_completion(L)
-            conjugated = change.inverse() * h * change
-            word = symplectic.stabilizer_decompose(conjugated)
-            basis_change = [list(row) for row in change.rows]
-        text = symplectic.format_word(word)
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    print(
-        _json_line(
-            {
-                "fixes_class": True,
-                "torelli_residual": "identity",
-                "basis_change": basis_change,
-            }
-        )
-    )
+    if L == e0:
+        word = mcg.factor_stabilizer(h, q)
+    else:
+        change = symplectic.symplectic_completion(L)
+        conjugated = change.inverse() * h * change
+        word = symplectic.stabilizer_decompose(conjugated)
+        basis_change = [list(row) for row in change.rows]
+    text = symplectic.format_word(word)
+    envelope = {"fixes_class": True, "torelli_residual": "identity", "basis_change": basis_change}
+    print(_json_line(envelope))
     print(text)
     return 0
 
 
 def cmd_generators(args) -> int:
     s, eps = _parse_surface(args)
-    try:
-        gens = mcg.canonical_generator_set(s, eps, _target(args))
-    except ValueError as exc:
-        raise DomainError("domain", str(exc)) from None
-    for g in gens:
+    for g in mcg.canonical_generator_set(s, eps, _target(args)):
         print(
             _json_line(
                 {
@@ -314,11 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 1
     try:
         return args.func(args)
     except DomainError as exc:
-        sys.stderr.write(_json_line({"error": str(exc)}) + "\n")
-        return 1
+        message = str(exc)
+    except (FormatError, UnicodeDecodeError) as exc:  # not UTF-8: not parseable either
+        message = f"format: {exc}"
+    except ValueError as exc:
+        message = f"domain: {exc}"
+    except Exception as exc:
+        logging.getLogger("morse_topo").exception("morse-topo %s failed", args.command)
+        message, code = f"internal: {type(exc).__name__}: {exc}", 3
+    sys.stderr.write(_json_line({"error": message}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -98,9 +98,6 @@ class KRGraph:
 
     # -- basic accessors ----------------------------------------------------
 
-    def degree(self, vid: int) -> int:
-        return sum((e.tail == vid) + (e.head == vid) for e in self.edges)
-
     def boundary_labels(self) -> list[str]:
         return [
             v.boundary_label

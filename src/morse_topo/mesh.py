@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
-from .surface import CriticalType, Surface, Target, validate_critical_type
+from .surface import CriticalType, FormatError, Surface, Target, validate_critical_type
 
 
-class MeshFormatError(ValueError):
+class MeshFormatError(FormatError):
     """Raised for unparseable mesh text."""
 
 
@@ -74,12 +74,6 @@ class HeightMesh:
     def euler_characteristic(self) -> int:
         num_edges = sum(map(len, self._links)) // 2
         return self.num_vertices - num_edges + len(self.triangles)
-
-    def boundary_vertex_cycle(self, vid: int) -> str | None:
-        for label, cyc in self.boundary_cycles:
-            if vid in cyc:
-                return label
-        return None
 
 
 def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:

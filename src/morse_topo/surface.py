@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 
+class FormatError(ValueError):
+    """Input text that does not parse; any other ValueError is a domain error."""
+
+
 class Target(enum.Enum):
     """Codomain of a Morse mapping: the real line or the circle."""
 
@@ -170,7 +174,7 @@ def critical_type_from_json(text: str) -> CriticalType:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid critical-type JSON: {exc}") from None
+        raise FormatError(f"invalid critical-type JSON: {exc}") from None
     try:
         if not isinstance(payload["q"], list):
             raise ValueError('"q" must be a list')
@@ -186,4 +190,4 @@ def critical_type_from_json(text: str) -> CriticalType:
             eps={str(l): int(v) for l, v in payload["eps"].items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid critical-type JSON: {exc}") from None
+        raise FormatError(f"invalid critical-type JSON: {exc}") from None

@@ -21,6 +21,8 @@ import operator
 import re
 from typing import Iterable, NamedTuple, Sequence
 
+from .surface import FormatError
+
 
 class SpMatrix:
     """Immutable 2g x 2g integer matrix, normally a symplectic one."""
@@ -332,20 +334,23 @@ def format_matrix(m: SpMatrix) -> str:
 def parse_matrix(text: str) -> SpMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("SP"):
-        raise ValueError("matrix text must start with an 'SP <g>' header")
+        raise FormatError("matrix text must start with an 'SP <g>' header")
     try:
         g = int(lines[0].split()[1])
     except (IndexError, ValueError):
-        raise ValueError("bad 'SP <g>' header") from None
+        raise FormatError("bad 'SP <g>' header") from None
     if len(lines) != 1 + 2 * g:
-        raise ValueError(f"expected {2 * g} matrix rows, got {len(lines) - 1}")
+        raise FormatError(f"expected {2 * g} matrix rows, got {len(lines) - 1}")
     try:
         rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
     except ValueError:
-        raise ValueError("matrix entries must be integers") from None
+        raise FormatError("matrix entries must be integers") from None
     if any(len(row) != 2 * g for row in rows):
-        raise ValueError("matrix rows must have 2g entries")
-    return SpMatrix(rows)
+        raise FormatError("matrix rows must have 2g entries")
+    try:
+        return SpMatrix(rows)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,38 +472,21 @@ class _Eliminator:
         g = self.g
         col = 0
 
-        def pair_reader(i):
-            return lambda: (self.rows[i][col], self.rows[g + i][col])
-
         # gcd within each (a_i, b_i) coordinate pair
         for i in range(g):
             _euclid_pair(
-                pair_reader(i),
+                lambda i=i: (self.rows[i][col], self.rows[g + i][col]),
                 lambda t, i=i: self.apply("Ta", i + 1, None, t),
                 lambda t, i=i: self.apply("Tb", i + 1, None, t),
             )
         # merge every a_j (j >= 2) into a_1; the b-entries are all zero now,
         # so Nu moves touch nothing else in this column
         for j in range(1, g):
-
-            def read(j=j):
-                return (self.rows[0][col], self.rows[j][col])
-
-            a1, aj = read()
-            while aj != 0:
-                if a1 == 0:
-                    self.apply("Nu", 1, j + 1, 1)
-                    a1, aj = read()
-                q = aj // a1
-                if q != 0:
-                    self.apply("Nu", j + 1, 1, -q)
-                a1, aj = read()
-                if aj == 0:
-                    break
-                q = a1 // aj
-                if q != 0:
-                    self.apply("Nu", 1, j + 1, -q)
-                a1, aj = read()
+            _euclid_pair(
+                lambda j=j: (self.rows[0][col], self.rows[j][col]),
+                lambda t, j=j: self.apply("Nu", 1, j + 1, t),
+                lambda t, j=j: self.apply("Nu", j + 1, 1, -t),
+            )
         if self.rows[0][col] == -1:
             # (-1, 0) -> (1, 0) on the first hyperbolic pair
             self.apply("Tb", 1, None, 1)

@@ -259,6 +259,145 @@ def test_surface_descriptor_form():
     assert r.returncode == 1
 
 
+GOOD_KTYPE = '{"target":"Line","q":[],"c0":1,"c1":0,"c2":1,"eps":{}}'
+IDENTITY = "SP 1\n1 0\n0 1\n"
+
+# (argv, input files, expected stderr error); "{d}" is the input directory
+ERROR_CONTRACT = {
+    "reeb-io": (["reeb", "{d}/none.hmesh"], {},
+                "io: cannot read {d}/none.hmesh: No such file or directory"),
+    "reeb-height": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 1/0\n"},
+                    "format: line 2: cannot parse 'v 0 1/0'"),
+    "reeb-ids": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 0\nv 2 1\n"},
+                 "format: vertex ids must be 0..n-1"),
+    "reeb-header": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH sideways\nv 0 0\n"},
+                    "format: header must be 'HMESH orientable|nonorientable'"),
+    "reeb-utf8": (["reeb", "{d}/a.hmesh"], {"a.hmesh": b"HMESH orientable\nv 0 \xff\n"},
+                  "format: 'utf-8' codec can't decode byte 0xff in position 21: "
+                  "invalid start byte"),
+    "reeb-orientability": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": format_hmesh(meshes.tetrahedron()).replace("orientable", "nonorientable")},
+        "domain: mesh declared non-orientable but triangle gluing disagrees",
+    ),
+    "reeb-empty": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 0\n"},
+                   "domain: mesh needs vertices and triangles"),
+    "classify-io": (["classify", "{d}/a.ktype", "{d}/none.ktype"], {"a.ktype": GOOD_KTYPE},
+                    "io: cannot read {d}/none.ktype: No such file or directory"),
+    "classify-json": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": "{target"},
+        "format: invalid critical-type JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)",
+    ),
+    "classify-target": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace("Line", "Plane")},
+        "format: invalid critical-type JSON: 'Plane' is not a valid Target",
+    ),
+    "classify-ranks": (
+        ["classify", "--up-to-flip", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"q":[]', '"q":[0,0]')},
+        "domain: critical types have different homology ranks",
+    ),
+    "canonical-descriptor": (
+        ["canonical", "--surface", "sideways:g=1", "--c0", "1", "--c2", "1"], {},
+        "format: descriptor must start with orientable|nonorientable: 'sideways:g=1'",
+    ),
+    "canonical-genus": (
+        ["canonical", "--surface", "orientable:g=x", "--c0", "1", "--c2", "1"], {},
+        "format: bad genus in descriptor 'orientable:g=x'",
+    ),
+    "canonical-surface-and-genus": (
+        ["canonical", "--surface", "orientable:g=1", "--genus", "1", "--c0", "1", "--c2", "1"],
+        {}, "format: --surface replaces --genus/--nonorientable/--boundary",
+    ),
+    "canonical-q": (["canonical", "--genus", "1", "--q", "1,x", "--c0", "1", "--c2", "1"], {},
+                    "format: bad integer vector '1,x'"),
+    "canonical-duplicate-label": (
+        ["canonical", "--surface", "orientable:g=0:V1:+,V1:-", "--c0", "0", "--c2", "0"], {},
+        "domain: boundary labels must be distinct",
+    ),
+    "canonical-infeasible": (["canonical", "--genus", "0", "--c0", "0", "--c2", "1"], {},
+                             "domain: requested extrema force a negative saddle count (-1)"),
+    "sp-io": (["sp-decompose", "{d}/none.sp"], {},
+              "io: cannot read {d}/none.sp: No such file or directory"),
+    "sp-zero": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 0\n"},
+                "format: matrix must be square of even size"),
+    "sp-negative": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP -1\n"},
+                    "format: expected -2 matrix rows, got 0"),
+    "sp-width": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1\n1 0 0\n0 1\n"},
+                 "format: matrix rows must have 2g entries"),
+    "sp-g-mismatch": (["sp-decompose", "--g", "2", "{d}/a.sp"], {"a.sp": IDENTITY},
+                      "domain: matrix file declares g=1, flag says g=2"),
+    "sp-not-symplectic": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1\n2 0\n0 1\n"},
+                          "domain: matrix is not symplectic"),
+    "admissible-vector": (["admissible", "--q", "1,a", "--gamma", "0,1"], {},
+                          "format: bad integer vector '1,a'"),
+    "admissible-lengths": (["admissible", "--q", "0,1", "--gamma", "0,1,0,0"], {},
+                           "domain: q and gamma must have the same length"),
+    "factor-io": (["factor", "--q", "0,1", "--matrix", "{d}/none.sp"], {},
+                  "io: cannot read {d}/none.sp: No such file or directory"),
+    "factor-matrix": (["factor", "--q", "0,1", "--matrix", "{d}/a.sp"], {"a.sp": "SP 0\n"},
+                      "format: matrix must be square of even size"),
+    "factor-q-length": (["factor", "--q", "0,0,1,0", "--matrix", "{d}/a.sp"], {"a.sp": IDENTITY},
+                        "domain: q must have length 2g"),
+    "generators-descriptor": (["generators", "--surface", "orientable:2"], {},
+                              "format: descriptor needs a g=<genus> part: 'orientable:2'"),
+    "generators-boundary": (["generators", "--genus", "1", "--boundary", "V"], {},
+                            "format: boundary item 'V' must be label:+ or label:-"),
+    "generators-nonorientable-g0": (["generators", "--genus", "0", "--nonorientable"], {},
+                                    "domain: a non-orientable surface has genus >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CONTRACT.values(), ids=ERROR_CONTRACT.keys())
+def test_cli_error_contract(tmp_path, capsys, case):
+    from morse_topo import cli
+
+    argv, files, message = case
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    d = str(tmp_path)
+    assert cli.main([arg.replace("{d}", d) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": message.replace("{d}", d)}, separators=(",", ":")) + "\n"
+
+
+def test_unexpected_exception_is_internal_error():
+    # a fresh interpreter, so that no logging configuration but the
+    # package's own decides what reaches stderr
+    code = (
+        "import sys\n"
+        "from morse_topo import cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.cmd_admissible = boom\n"
+        "sys.exit(cli.main(['admissible', '--q', '0,1', '--gamma', '1,0']))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == '{"error":"internal: RuntimeError: boom"}\n'
+
+
+def test_internal_error_is_logged(monkeypatch, capsys, caplog):
+    from morse_topo import cli
+
+    def boom(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_generators", boom)
+    assert cli.main(["generators", "--genus", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "internal: KeyError: 'lost'"}
+    (record,) = [r for r in caplog.records if r.name == "morse_topo"]
+    assert record.exc_info[0] is KeyError
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 
