@@ -21,7 +21,6 @@ from .surface import (
     critical_type_to_json,
     euler_characteristic,
     flip_target_orientation,
-    is_valid_critical_type,
     validate_critical_type,
 )
 from .krgraph import (

@@ -3,17 +3,19 @@
 A mesh is a triangulated compact surface whose vertices carry heights in
 Q.  Boundary circles are explicit vertex cycles, each at a constant
 height.  Building a mesh checks it and orders the link of every vertex
-once, from one pass over the triangles.  Extraction sorts the heights once and from then on compares only
-integer ranks: it classifies interior vertices by the runs of lower
-vertices around their links, then sweeps the vertices bottom-up once,
-labelling every edge that crosses the sweep level with the id of its level
-circle (union-find for merges, walks along the level curve for splits).
-That costs O(m) plus the smaller side of every split and the walks at
-degree-two saddles, for m triangles.  Everything is exact; inputs whose
-event heights collide are rejected rather than perturbed.
+once, from one pass over the triangles.  Extraction sorts the heights
+once and from then on compares only integer ranks: one bottom-up sweep
+classifies each vertex when it reaches it, by the runs of lower vertices
+around its link, and labels every edge that crosses the sweep level with
+the id of its level circle (union-find for merges, walks along the level
+curve for splits).  That costs O(m) plus the smaller side of every split
+and the walks at degree-two saddles, for m triangles.  Everything is
+exact; inputs whose event heights collide are rejected rather than
+perturbed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -278,70 +280,6 @@ def format_hmesh(m: HeightMesh) -> str:
 
 
 # ---------------------------------------------------------------------------
-# PL classification
-
-
-@dataclass(frozen=True)
-class _Classification:
-    order: list[int]  # vertex ids sorted by height, ties by id
-    rank: list[int]  # position of each vertex in ``order``
-    minima: tuple[int, ...]
-    saddles: tuple[int, ...]
-    maxima: tuple[int, ...]
-    eps: dict[str, int]
-
-
-def _classify_vertices(m: HeightMesh) -> _Classification:
-    """Classify vertices by their lower links, comparing integer height ranks.
-
-    Ties between equal heights are broken by vertex id; that never decides
-    a comparison below, because only boundary edges may be flat and the
-    ends of a boundary vertex's link path are skipped.
-    """
-    order = sorted(range(m.num_vertices), key=m.heights.__getitem__)
-    rank = [0] * len(order)
-    for i, v in enumerate(order):
-        rank[v] = i
-    on_boundary = {v: label for label, cyc in m.boundary_cycles for v in cyc}
-    minima, saddles, maxima = [], [], []
-    cycle_sides: dict[str, set[int]] = {label: set() for label, _ in m.boundary_cycles}
-    for v, link in enumerate(m._links):
-        r = rank[v]
-        if v in on_boundary:
-            cycle_sides[on_boundary[v]].update(
-                1 if rank[w] > r else -1 for w in link[1:-1]
-            )
-            continue
-        lower = [rank[w] < r for w in link]
-        if all(lower):
-            maxima.append(v)
-            continue
-        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
-        if runs == 0:
-            minima.append(v)
-        elif runs == 2:
-            saddles.append(v)
-        elif runs > 2:
-            raise NotMorseError(
-                f"vertex {v} has a lower link with {runs} components "
-                "(degenerate saddle)"
-            )
-    eps = {}
-    for label, sides in cycle_sides.items():
-        if sides == {-1}:
-            eps[label] = 1  # surface below: the map increases towards the circle
-        elif sides == {1}:
-            eps[label] = -1
-        else:
-            raise NotMorseError(
-                f"boundary cycle {label!r} has interior neighbours on both sides"
-            )
-    return _Classification(
-        order, rank, tuple(minima), tuple(saddles), tuple(maxima), eps
-    )
-
-
-# ---------------------------------------------------------------------------
 # The sweep
 
 
@@ -390,18 +328,23 @@ def _split_circle(v: int, runs, rank: list[int], links, n: int):
             state[:] = (s, q, p) if rank[s] <= r else (p, s, q)
 
 
-def _sweep(m: HeightMesh, cls: _Classification):
-    """Graph vertices and (tail, head) arcs of the Reeb graph, by one sweep."""
+def _sweep(m: HeightMesh):
+    """Graph vertices, (tail, head) arcs and boundary signs of the Reeb
+    graph, by one sweep that classifies each vertex when it reaches it.
+
+    The heights are sorted once, ties by vertex id, and from then on only
+    integer ranks are compared.  A tie never decides a comparison between
+    neighbours: only boundary edges may be flat, the ends of a boundary
+    vertex's link path are skipped, and a boundary cycle is swept as one
+    group.  Tied events are left for the caller to reject.
+    """
     n = m.num_vertices
-    rank, links = cls.rank, m._links
-    special: dict[int, object] = {
-        **dict.fromkeys(cls.minima, VertexKind.MIN),
-        **dict.fromkeys(cls.saddles, VertexKind.SADDLE3),
-        **dict.fromkeys(cls.maxima, VertexKind.MAX),
-    }
-    for label, cyc in m.boundary_cycles:
-        special.update(dict.fromkeys(cyc))  # None: skipped, see below
-        special[min(cyc, key=rank.__getitem__)] = (label, cyc)
+    links = m._links
+    order = sorted(range(n), key=m.heights.__getitem__)
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    on_boundary = {v: (label, cyc) for label, cyc in m.boundary_cycles for v in cyc}
 
     # contour id of every edge crossing the sweep level, keyed lower*n+upper;
     # the ids of one level circle agree up to ``find``
@@ -410,6 +353,7 @@ def _sweep(m: HeightMesh, cls: _Classification):
     start: list[int] = []  # graph vertex where a contour's open arc begins
     vertices: list[KRVertex] = []
     arcs: list[tuple[int, int]] = []
+    eps: dict[str, int] = {}
 
     def fresh(at: int) -> int:
         parent.append(len(parent))
@@ -421,48 +365,66 @@ def _sweep(m: HeightMesh, cls: _Classification):
             parent[c] = c = parent[parent[c]]
         return c
 
-    for v in cls.order:
+    for v in order:
         r = rank[v]
-        link = links[v]
-        if v not in special:
-            # regular: the lower edges are one run of one circle, and the
-            # upper edges take their place on it
-            for w in link:
-                if rank[w] < r:
-                    c = contour.pop(w * n + v)
-            for w in link:
-                if rank[w] > r:
-                    contour[v * n + w] = c
-            continue
-        what = special[v]
-        if what is None:
-            continue  # its cycle was swept with the cycle's first vertex
         vid = len(vertices)
-        if isinstance(what, tuple):
-            label, cyc = what
+        if v in on_boundary:
+            label, cyc = on_boundary[v]
+            if label in eps:
+                continue  # its cycle was swept with the cycle's first vertex
+            above = {rank[w] > r for x in cyc for w in links[x][1:-1]}
+            if len(above) != 1:
+                raise NotMorseError(
+                    f"boundary cycle {label!r} has interior neighbours on both sides"
+                )
             vertices.append(KRVertex(vid, VertexKind.BOUNDARY, m.heights[v], label))
-            if cls.eps[label] == 1:  # the circle just below ends here
+            if above == {False}:
+                # surface below: the map increases towards the circle, and
+                # the level circle just below ends here
+                eps[label] = 1
                 for x in cyc:
                     for w in links[x][1:-1]:
                         c = contour.pop(w * n + x)
                 arcs.append((start[find(c)], vid))
             else:
+                eps[label] = -1
                 c = fresh(vid)
                 for x in cyc:
                     for w in links[x][1:-1]:
                         contour[x * n + w] = c
             continue
-        if what is VertexKind.MIN:
+        link = links[v]
+        lower = [rank[w] < r for w in link]
+        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
+        if runs == 1:
+            # regular: the lower edges are one run of one circle, and the
+            # upper edges take their place on it
+            for w, low in zip(link, lower):
+                if low:
+                    c = contour.pop(w * n + v)
+            for w, low in zip(link, lower):
+                if not low:
+                    contour[v * n + w] = c
+            continue
+        if runs > 2:
+            raise NotMorseError(
+                f"vertex {v} has a lower link with {runs} components "
+                "(degenerate saddle)"
+            )
+        if runs == 0 and not lower[0]:
+            kind = VertexKind.MIN
             c = fresh(vid)
             for w in link:
                 contour[v * n + w] = c
-        elif what is VertexKind.MAX:
+        elif runs == 0:
+            kind = VertexKind.MAX
             for w in link:
                 c = contour.pop(w * n + v)
             arcs.append((start[find(c)], vid))
         else:
-            runs = _saddle_runs(link, rank, r)
-            up1, low1, up2, low2 = runs
+            kind = VertexKind.SADDLE3
+            saddle_runs = _saddle_runs(link, rank, r)
+            up1, low1, up2, low2 = saddle_runs
             a = find(contour[low1[0] * n + v])
             b = find(contour[low2[0] * n + v])
             for w in low1 + low2:
@@ -474,27 +436,30 @@ def _sweep(m: HeightMesh, cls: _Classification):
                 parent[b] = a
             else:
                 arcs.append((start[a], vid))
-                split = _split_circle(v, runs, rank, links, n)
+                split = _split_circle(v, saddle_runs, rank, links, n)
                 if split is None:
-                    what = VertexKind.STAR2
+                    kind = VertexKind.STAR2
                 else:
                     c = fresh(vid)
                     for key in split:
                         contour[key] = c
             start[a] = vid
-        vertices.append(KRVertex(vid, what, m.heights[v]))
+        vertices.append(KRVertex(vid, kind, m.heights[v]))
     if contour:
         raise AssertionError("level circles left open after the sweep")
-    return vertices, arcs
+    return vertices, arcs, eps
 
 
 def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     """Sweep a mesh bottom-up and assemble its Reeb graph and critical type.
 
-    Event heights are the critical-vertex heights and the boundary-circle
-    heights; they must be pairwise distinct.  Vertices are swept once in
-    height order, each boundary cycle as one group, and every edge crossing
-    the sweep level carries the id of its level circle:
+    Vertices are swept once in height order, each boundary cycle as one
+    group.  Each interior vertex is classified when the sweep reaches it, by
+    the runs of lower vertices around its link (none: a minimum; one:
+    regular; two: a saddle; all of it: a maximum; more: ``NotMorseError``),
+    and each boundary cycle takes its sign from which side its interior
+    neighbours lie on.  Every edge crossing the sweep level carries the id
+    of its level circle:
 
     - a regular vertex hands the id of its lower edges to its upper edges;
     - a minimum, or a boundary circle with the surface above it, opens a
@@ -507,31 +472,30 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
       a split (an ordinary saddle), whose edges get a fresh id; walkers that
       reach each other's run share one circle (a degree-two saddle).
 
-    The cost is O(m) for the classification and the sweep, which read the
+    Event heights are the critical-vertex heights and the boundary-circle
+    heights; they must be pairwise distinct.  That is checked after the
+    sweep, on its graph vertices, so ``NotMorseError`` takes precedence over
+    ``NotGenericError``.  The cost is O(m) for the sweep, which reads the
     vertex links ordered when the mesh was built, plus the smaller side of
     every split and the walks at degree-two saddles, plus one sort of the
-    n heights; exact heights are only compared in that sort and copied to
-    the graph's vertices.  Graph vertices are numbered in height order and
-    edges by (head, tail).
+    n heights; exact heights are only compared in that sort and the tie
+    check, and copied to the graph's vertices.  Graph vertices are numbered
+    in height order and edges by (head, tail).
     """
-    cls = _classify_vertices(m)
-    events = [*cls.minima, *cls.saddles, *cls.maxima]
-    events += [cyc[0] for _, cyc in m.boundary_cycles]
-    heights = [m.heights[v] for v in sorted(events, key=cls.rank.__getitem__)]
-    if any(a == b for a, b in zip(heights, heights[1:])):
+    vertices, arcs, eps = _sweep(m)
+    if any(a.height == b.height for a, b in zip(vertices, vertices[1:])):
         raise NotGenericError("event heights are not pairwise distinct")
-
-    vertices, arcs = _sweep(m, cls)
     edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(arcs)]
     graph = KRGraph(Target.LINE, vertices, edges)
     surface = surface_of(m)
+    kinds = Counter(v.kind for v in vertices)
     ktype = CriticalType(
         Target.LINE,
         (0,) * surface.homology_rank,
-        len(cls.minima),
-        len(cls.saddles),
-        len(cls.maxima),
-        cls.eps,
+        kinds[VertexKind.MIN],
+        kinds[VertexKind.SADDLE3] + kinds[VertexKind.STAR2],
+        kinds[VertexKind.MAX],
+        eps,
     )
     problems = validate_critical_type(surface, ktype)
     if problems:

@@ -137,10 +137,6 @@ def validate_critical_type(s: Surface, k: CriticalType) -> list[str]:
     return violations
 
 
-def is_valid_critical_type(s: Surface, k: CriticalType) -> bool:
-    return not validate_critical_type(s, k)
-
-
 def flip_target_orientation(k: CriticalType) -> CriticalType:
     """Invariant of the same mapping after reversing the target orientation.
 
@@ -173,7 +169,7 @@ def critical_type_to_json(k: CriticalType) -> str:
 def critical_type_from_json(text: str) -> CriticalType:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise FormatError(f"invalid critical-type JSON: {exc}") from None
     try:
         if not isinstance(payload["q"], list):

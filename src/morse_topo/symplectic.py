@@ -199,22 +199,7 @@ def _nilpotent_part(p: GenPower, g: int) -> list[tuple[int, int, int]]:
 
 def named_generator(name: str, i: int, j: int | None = None, *, g: int) -> SpMatrix:
     """Closed-form matrix of one named generator at genus g."""
-    p = gen(name, i, j)
-    _check_indices((p,), g)
-    n = 2 * g
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r, c, v in _nilpotent_part(p, g):
-        rows[r][c] += v
-    return SpMatrix(rows)
-
-
-def generator_power(p: GenPower, g: int) -> SpMatrix:
-    """Matrix of one generator power, using (I + N)^t = I + t N."""
-    n = 2 * g
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r, c, v in _nilpotent_part(p, g):
-        rows[r][c] += p.exp * v
-    return SpMatrix(rows)
+    return evaluate((gen(name, i, j),), g)
 
 
 def _check_indices(word: Iterable[GenPower], g: int):
@@ -225,7 +210,8 @@ def _check_indices(word: Iterable[GenPower], g: int):
 
 
 def _left_apply(p: GenPower, rows: list[list[int]], g: int):
-    """rows <- generator_power(p) * rows, as a sparse row operation.
+    """rows <- (I + t N) * rows, the power t = ``p.exp`` of the generator
+    I + N (N^2 = 0), as a sparse row operation.
 
     ``rows`` must have 2g rows but may have any width (a single column is
     enough when only a vector is being reduced).
@@ -339,6 +325,8 @@ def parse_matrix(text: str) -> SpMatrix:
         g = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise FormatError("bad 'SP <g>' header") from None
+    if g < 1:
+        raise FormatError(f"'SP <g>' header needs g >= 1, got {g}")
     if len(lines) != 1 + 2 * g:
         raise FormatError(f"expected {2 * g} matrix rows, got {len(lines) - 1}")
     try:
@@ -347,10 +335,7 @@ def parse_matrix(text: str) -> SpMatrix:
         raise FormatError("matrix entries must be integers") from None
     if any(len(row) != 2 * g for row in rows):
         raise FormatError("matrix rows must have 2g entries")
-    try:
-        return SpMatrix(rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return SpMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

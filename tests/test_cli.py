@@ -295,6 +295,12 @@ ERROR_CONTRACT = {
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace("Line", "Plane")},
         "format: invalid critical-type JSON: 'Plane' is not a valid Target",
     ),
+    "classify-deep-json": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": "[" * 100_000},
+        "format: invalid critical-type JSON: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string",
+    ),
     "classify-ranks": (
         ["classify", "--up-to-flip", "{d}/a.ktype", "{d}/b.ktype"],
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"q":[]', '"q":[0,0]')},
@@ -323,9 +329,9 @@ ERROR_CONTRACT = {
     "sp-io": (["sp-decompose", "{d}/none.sp"], {},
               "io: cannot read {d}/none.sp: No such file or directory"),
     "sp-zero": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 0\n"},
-                "format: matrix must be square of even size"),
+                "format: 'SP <g>' header needs g >= 1, got 0"),
     "sp-negative": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP -1\n"},
-                    "format: expected -2 matrix rows, got 0"),
+                    "format: 'SP <g>' header needs g >= 1, got -1"),
     "sp-width": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1\n1 0 0\n0 1\n"},
                  "format: matrix rows must have 2g entries"),
     "sp-g-mismatch": (["sp-decompose", "--g", "2", "{d}/a.sp"], {"a.sp": IDENTITY},
@@ -339,7 +345,7 @@ ERROR_CONTRACT = {
     "factor-io": (["factor", "--q", "0,1", "--matrix", "{d}/none.sp"], {},
                   "io: cannot read {d}/none.sp: No such file or directory"),
     "factor-matrix": (["factor", "--q", "0,1", "--matrix", "{d}/a.sp"], {"a.sp": "SP 0\n"},
-                      "format: matrix must be square of even size"),
+                      "format: 'SP <g>' header needs g >= 1, got 0"),
     "factor-q-length": (["factor", "--q", "0,0,1,0", "--matrix", "{d}/a.sp"], {"a.sp": IDENTITY},
                         "domain: q must have length 2g"),
     "generators-descriptor": (["generators", "--surface", "orientable:2"], {},

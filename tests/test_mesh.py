@@ -320,6 +320,35 @@ def test_monkey_saddle_rejected():
         extract_kr_graph(m)
 
 
+def _hexagon_suspension(north, south, equator):
+    """Vertex 0 (north) and vertex 1 (south) coned over a hexagon 2..7."""
+    tris = []
+    for i in range(6):
+        j = (i + 1) % 6
+        tris.append((0, 2 + i, 2 + j))
+        tris.append((1, 2 + i, 2 + j))
+    return HeightMesh(True, tuple(map(F, (north, south, *equator))), tuple(tris))
+
+
+def test_degenerate_saddle_beats_tied_minima():
+    # the equator's low vertices at -2, -2 and -1 are minima, the first two
+    # at one height, below the monkey saddle at the north pole: the
+    # NotMorseError wins over the NotGenericError the tie alone would raise
+    m = _hexagon_suspension(0, 5, (-2, 2, -2, 2, -1, 2))
+    with pytest.raises(NotMorseError, match="vertex 0 has a lower link with 3"):
+        extract_kr_graph(m)
+    with pytest.raises(NotMorseError):
+        meshes.brute_force_reeb(m)
+
+
+def test_lowest_degenerate_saddle_is_named():
+    # both poles are monkey saddles over an alternating equator; the south
+    # pole, vertex 1, is the lower one
+    m = _hexagon_suspension(1, 0, (-2, 2, -3, 3, -4, 4))
+    with pytest.raises(NotMorseError, match="vertex 1 has a lower link with 3"):
+        extract_kr_graph(m)
+
+
 def test_flat_interior_edge_rejected():
     with pytest.raises(NotGenericError, match="flat"):
         HeightMesh(
