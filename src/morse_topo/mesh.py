@@ -2,22 +2,25 @@
 
 A mesh is a triangulated compact surface whose vertices carry heights in
 Q.  Boundary circles are explicit vertex cycles, each at a constant
-height.  Building a mesh checks it and orders the link of every vertex
-once, from one pass over the triangles.  Extraction sorts the heights
-once and from then on compares only integer ranks: one bottom-up sweep
-classifies each vertex when it reaches it, by the runs of lower vertices
-around its link, and labels every edge that crosses the sweep level with
-the id of its level circle (union-find for merges, walks along the level
-curve for splits).  That costs O(m) plus the smaller side of every split
-and the walks at degree-two saddles, for m triangles.  Everything is
-exact; inputs whose event heights collide are rejected rather than
-perturbed.
+height.  Building a mesh gives every vertex an integer key that orders
+and ties exactly like its height, checks the mesh and orders the link of
+every vertex once, from one pass over the triangles.  From then on the
+checks and the sweep compare only keys.  Extraction sorts the vertices
+by key once and sweeps them bottom-up, classifying each vertex when it
+reaches it by the runs of lower vertices around its link, and labelling
+every edge that crosses the sweep level with the id of its level circle
+(union-find for merges, walks along the level curve for splits).  That
+costs O(m) plus the smaller side of every split and the walks at
+degree-two saddles, for m triangles.  Everything is exact; inputs whose
+event heights collide are rejected rather than perturbed.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
 from .surface import CriticalType, FormatError, Surface, Target, validate_critical_type
@@ -46,16 +49,24 @@ class HeightMesh:
     # or for a boundary vertex a path whose two ends are its neighbours on
     # the boundary cycle
     _links: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # integer key of each vertex, ordered and tied like its height
+    _keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "heights", tuple(Fraction(h) for h in self.heights)
-        )
-        object.__setattr__(
-            self,
-            "triangles",
-            tuple(tuple(int(v) for v in t) for t in self.triangles),
-        )
+        # convert only what is not already a tuple of the right types, as
+        # ``parse_hmesh`` builds it: collecting the types (in C) costs a
+        # tenth of rebuilding every height and triangle
+        heights, tris = self.heights, self.triangles
+        if type(heights) is not tuple or set(map(type, heights)) - {Fraction}:
+            object.__setattr__(self, "heights", tuple(map(Fraction, heights)))
+        if (
+            type(tris) is not tuple
+            or set(map(type, tris)) - {tuple}
+            or set(map(type, chain.from_iterable(tris))) - {int}
+        ):
+            object.__setattr__(
+                self, "triangles", tuple(tuple(int(v) for v in t) for t in tris)
+            )
         object.__setattr__(
             self,
             "boundary_cycles",
@@ -64,6 +75,7 @@ class HeightMesh:
                 for label, cyc in self.boundary_cycles
             ),
         )
+        object.__setattr__(self, "_keys", _height_keys(self.heights))
         object.__setattr__(self, "_links", _check_mesh(self))
 
     @property
@@ -78,6 +90,25 @@ class HeightMesh:
         return self.num_vertices - num_edges + len(self.triangles)
 
 
+# the largest lcm of the denominators that scales heights to integer keys;
+# beyond it keys are ranks, so that many large coprime denominators cannot
+# make every key as long as their product
+_KEY_LCM_BITS = 64
+
+
+def _height_keys(heights: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """One integer per height that orders and ties exactly like the heights:
+    the height times the lcm of the denominators while that lcm fits in
+    ``_KEY_LCM_BITS`` bits, else its rank among the distinct heights."""
+    lcm = 1
+    for d in {h.denominator for h in heights}:
+        lcm = math.lcm(lcm, d)
+        if lcm.bit_length() > _KEY_LCM_BITS:
+            rank = {h: i for i, h in enumerate(sorted(set(heights)))}
+            return tuple(map(rank.__getitem__, heights))
+    return tuple(h.numerator * (lcm // h.denominator) for h in heights)
+
+
 def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     """Check that ``m`` is a valid mesh and return the ordered link of each
     vertex.
@@ -90,6 +121,7 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     orientability.
     """
     n = m.num_vertices
+    keys = m._keys
     if n == 0 or not m.triangles:
         raise ValueError("mesh needs vertices and triangles")
     star: list[list[int]] = [[] for _ in range(n)]
@@ -115,8 +147,7 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
         for v in cyc:
             if not 0 <= v < n:
                 raise ValueError(f"boundary vertex {v} out of range")
-        heights = {m.heights[v] for v in cyc}
-        if len(heights) != 1:
+        if len({keys[v] for v in cyc}) != 1:
             raise NotMorseError(
                 f"boundary cycle {label!r} is not at constant height"
             )
@@ -147,7 +178,7 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     # flat edges are allowed only along a boundary cycle
     for e in edge_tris:
         a, b = divmod(e, n)
-        if m.heights[a] == m.heights[b] and e not in boundary_edges:
+        if keys[a] == keys[b] and e not in boundary_edges:
             raise NotGenericError(f"flat interior edge {(a, b)}")
 
     # every edge at v borders two triangles, except the two boundary edges
@@ -244,6 +275,8 @@ def parse_hmesh(text: str) -> HeightMesh:
                 orientable = parts[1] == "orientable"
             elif parts[0] == "v":
                 vid = int(parts[1])
+                if vid in heights:
+                    raise MeshFormatError(f"line {lineno}: duplicate vertex id {vid}")
                 num, _, den = parts[2].partition("/")
                 heights[vid] = Fraction(int(num), int(den) if den else 1)
             elif parts[0] == "t":
@@ -332,15 +365,17 @@ def _sweep(m: HeightMesh):
     """Graph vertices, (tail, head) arcs and boundary signs of the Reeb
     graph, by one sweep that classifies each vertex when it reaches it.
 
-    The heights are sorted once, ties by vertex id, and from then on only
-    integer ranks are compared.  A tie never decides a comparison between
-    neighbours: only boundary edges may be flat, the ends of a boundary
-    vertex's link path are skipped, and a boundary cycle is swept as one
-    group.  Tied events are left for the caller to reject.
+    The vertices are sorted once by the integer keys built with the mesh,
+    ties by vertex id (the sort is stable), and from then on only integer
+    ranks are compared; exact heights are only copied to the graph
+    vertices.  A tie never decides a comparison between neighbours: only
+    boundary edges may be flat, the ends of a boundary vertex's link path
+    are skipped, and a boundary cycle is swept as one group.  Tied events
+    are left for the caller to reject.
     """
     n = m.num_vertices
     links = m._links
-    order = sorted(range(n), key=m.heights.__getitem__)
+    order = sorted(range(n), key=m._keys.__getitem__)
     rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
@@ -373,6 +408,11 @@ def _sweep(m: HeightMesh):
             if label in eps:
                 continue  # its cycle was swept with the cycle's first vertex
             above = {rank[w] > r for x in cyc for w in links[x][1:-1]}
+            if not above:
+                raise NotMorseError(
+                    f"boundary cycle {label!r} has no interior neighbours, "
+                    "so the height is constant near it"
+                )
             if len(above) != 1:
                 raise NotMorseError(
                     f"boundary cycle {label!r} has interior neighbours on both sides"
@@ -478,9 +518,9 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     ``NotGenericError``.  The cost is O(m) for the sweep, which reads the
     vertex links ordered when the mesh was built, plus the smaller side of
     every split and the walks at degree-two saddles, plus one sort of the
-    n heights; exact heights are only compared in that sort and the tie
-    check, and copied to the graph's vertices.  Graph vertices are numbered
-    in height order and edges by (head, tail).
+    n integer height keys built with the mesh; exact heights are only
+    compared in the tie check, and copied to the graph's vertices.  Graph
+    vertices are numbered in height order and edges by (head, tail).
     """
     vertices, arcs, eps = _sweep(m)
     if any(a.height == b.height for a, b in zip(vertices, vertices[1:])):

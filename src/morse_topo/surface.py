@@ -169,7 +169,9 @@ def critical_type_to_json(k: CriticalType) -> str:
 def critical_type_from_json(text: str) -> CriticalType:
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer literal too long to convert, or a document
+        # nested too deeply
         raise FormatError(f"invalid critical-type JSON: {exc}") from None
     try:
         if not isinstance(payload["q"], list):
@@ -185,5 +187,5 @@ def critical_type_from_json(text: str) -> CriticalType:
             c2=int(payload["c2"]),
             eps={str(l): int(v) for l, v in payload["eps"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(Infinity)
         raise FormatError(f"invalid critical-type JSON: {exc}") from None

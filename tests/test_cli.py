@@ -282,6 +282,17 @@ ERROR_CONTRACT = {
     ),
     "reeb-empty": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 0\n"},
                    "domain: mesh needs vertices and triangles"),
+    "reeb-duplicate-vertex": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": format_hmesh(meshes.tetrahedron()).replace("t 0", "v 0 5/1\nt 0", 1)},
+        "format: line 6: duplicate vertex id 0",
+    ),
+    "reeb-flat-disk": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": "HMESH orientable\nv 0 0\nv 1 0\nv 2 0\nt 0 1 2\nb rim 0 1 2\n"},
+        "domain: boundary cycle 'rim' has no interior neighbours, so the height is "
+        "constant near it",
+    ),
     "classify-io": (["classify", "{d}/a.ktype", "{d}/none.ktype"], {"a.ktype": GOOD_KTYPE},
                     "io: cannot read {d}/none.ktype: No such file or directory"),
     "classify-json": (
@@ -300,6 +311,18 @@ ERROR_CONTRACT = {
         {"a.ktype": GOOD_KTYPE, "b.ktype": "[" * 100_000},
         "format: invalid critical-type JSON: maximum recursion depth exceeded "
         "while decoding a JSON array from a unicode string",
+    ),
+    "classify-infinity": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c0":1', '"c0":Infinity')},
+        "format: invalid critical-type JSON: cannot convert float infinity to integer",
+    ),
+    "classify-long-integer": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c0":1', '"c0":1' + "0" * 5000)},
+        "format: invalid critical-type JSON: Exceeds the limit (4300 digits) for integer "
+        "string conversion: value has 5001 digits; use sys.set_int_max_str_digits() to "
+        "increase the limit",
     ),
     "classify-ranks": (
         ["classify", "--up-to-flip", "{d}/a.ktype", "{d}/b.ktype"],

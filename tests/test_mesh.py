@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from morse_topo.mesh import (
     MeshFormatError,
     NotGenericError,
     NotMorseError,
+    _height_keys,
     extract_kr_graph,
     format_hmesh,
     parse_hmesh,
@@ -434,3 +436,143 @@ def test_orientability_flag_checked():
     pp = meshes.projective_plane()
     with pytest.raises(ValueError, match="gluing disagrees"):
         HeightMesh(True, pp.heights, pp.triangles)
+
+
+def primes_above(low: int, count: int) -> list[int]:
+    """The ``count`` smallest primes above ``low``, by the Miller-Rabin test
+    with bases 2 to 17, which is exact below 3.4 * 10**14."""
+    primes = []
+    n = low + 1
+    while len(primes) < count:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # a witnesses that n is composite
+        else:
+            primes.append(n)
+        n += 1
+    return primes
+
+
+HUGE_PRIMES = primes_above(2**32, 8)
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["scaled", "ranked"])
+@given(data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_height_keys_order_and_tie_like_the_heights(huge, data):
+    elements = st.fractions(-50, 50, max_denominator=20)
+    if huge:
+        elements |= st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from(HUGE_PRIMES))
+    # drawing from a small pool repeats heights, so ties are common
+    pool = data.draw(st.lists(elements, min_size=1, max_size=8))
+    heights = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    if huge:  # two distinct primes above 2**32 make the lcm too long
+        p, q = data.draw(
+            st.lists(st.sampled_from(HUGE_PRIMES), min_size=2, max_size=2, unique=True)
+        )
+        heights = data.draw(st.permutations(heights + [F(1, p), F(-1, q)]))
+    lcm = math.lcm(*(h.denominator for h in heights))
+    assert (lcm.bit_length() > 64) == huge
+    keys = _height_keys(tuple(heights))
+    for h, k in zip(heights, keys):
+        for h2, k2 in zip(heights, keys):
+            assert (k < k2) == (h < h2) and (k == k2) == (h == h2)
+    if huge:  # past the limit: ranks of the distinct heights
+        assert sorted(set(keys)) == list(range(len(set(heights))))
+    else:  # the heights scaled by the lcm of their denominators
+        assert keys == tuple(h * lcm for h in heights)
+
+
+def beyond_key_limit(m: HeightMesh) -> HeightMesh:
+    """``m`` with its distinct heights, in order, moved to rank + 1/p for
+    distinct primes p > 2**32: the order and the ties are kept, and the lcm
+    of the denominators is far past the 64 bits that integer keys scale
+    by."""
+    distinct = sorted(set(m.heights))
+    primes = primes_above(2**32, len(distinct))
+    moved = {h: rank + F(1, p) for rank, (h, p) in enumerate(zip(distinct, primes))}
+    heights = tuple(moved[h] for h in m.heights)
+    assert math.lcm(*(h.denominator for h in heights)).bit_length() > 64
+    return HeightMesh(m.orientable, heights, m.triangles, m.boundary_cycles)
+
+
+def assert_same_graph_beyond_key_limit(m, name):
+    """The sweep gives ``m`` and its rank + 1/p copy the same vertex kinds
+    and arcs, or raises the same error for both."""
+    moved = beyond_key_limit(m)
+    try:
+        graph, ktype = extract_kr_graph(m)
+    except (NotMorseError, NotGenericError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            extract_kr_graph(moved)
+        return False
+    moved_graph = assert_matches_brute_force(moved, name)
+    assert extract_kr_graph(moved)[1] == ktype, name
+
+    def kinds_and_arcs(g):
+        kinds = [v.kind for _, v in sorted(g.vertices.items())]
+        return kinds, [(e.tail, e.head) for e in sorted(g.edges, key=lambda e: e.id)]
+
+    assert kinds_and_arcs(moved_graph) == kinds_and_arcs(graph), name
+    return True
+
+
+def test_sweep_beyond_key_limit_on_corpus():
+    cases = meshes.corpus()
+    octahedron = meshes.octahedron()
+    cases["octahedron_tied"] = HeightMesh(
+        True, (F(0), F(0)) + octahedron.heights[2:], octahedron.triangles
+    )
+    for name, m in cases.items():
+        assert assert_same_graph_beyond_key_limit(m, name)
+
+
+def test_sweep_beyond_key_limit_on_random_meshes():
+    rng = random.Random(SEED + 1)
+    accepted = {"torus": 0, "klein": 0, "holed": 0}
+    rejected = 0
+    while min(accepted.values()) < 6:
+        family = rng.choice(sorted(accepted))
+        try:
+            m = meshes.random_grid_mesh(rng, family, rng.randint(4, 6))
+        except NotGenericError:
+            continue
+        if assert_same_graph_beyond_key_limit(m, family):
+            accepted[family] += 1
+        else:
+            rejected += 1
+    assert rejected > 0
+
+
+def test_extraction_compares_few_fractions(monkeypatch):
+    # heights are compared as integer keys built with the mesh; the
+    # Fractions themselves only in the check that event heights differ and
+    # when the graph checks its edges, so the count follows the graph, not
+    # the mesh.  Sorting the Fractions made about 5,900 comparisons on the
+    # 24 x 24 torus.
+    texts = [format_hmesh(meshes.baseline_torus(n, 1)) for n in (24, 40)]
+    calls = 0
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        method = getattr(F, name)
+
+        def counted(self, other, method=method):
+            nonlocal calls
+            calls += 1
+            return method(self, other)
+
+        monkeypatch.setattr(F, name, counted)
+    for text in texts:
+        calls = 0
+        graph, _ = extract_kr_graph(parse_hmesh(text))
+        bound = 2 * (len(graph.vertices) + len(graph.edges))
+        assert 0 < calls <= bound, (calls, bound)

@@ -1,8 +1,11 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morse_topo.surface import (
     CriticalType,
+    FormatError,
     Surface,
     Target,
     critical_type_from_json,
@@ -124,3 +127,35 @@ def test_json_rejects_garbage():
         critical_type_from_json("not json")
     with pytest.raises(ValueError):
         critical_type_from_json('{"target":"Plane","q":[],"c0":0,"c1":0,"c2":0,"eps":{}}')
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# documents with the right keys and values of any JSON type, most of them
+# close to a valid critical type
+KTYPE_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "target": st.sampled_from(["Line", "Circle"]) | JSON_VALUES,
+        "q": st.lists(st.integers(-3, 3) | JSON_VALUES, max_size=3) | JSON_VALUES,
+        "c0": st.integers(-1, 3) | JSON_VALUES,
+        "c1": st.integers(-1, 3) | JSON_VALUES,
+        "c2": st.integers(-1, 3) | JSON_VALUES,
+        "eps": st.dictionaries(st.text(max_size=2), st.sampled_from([1, -1]) | JSON_VALUES,
+                               max_size=2) | JSON_VALUES,
+    }
+).map(json.dumps)
+
+
+@given(st.text() | KTYPE_DOCUMENTS | JSON_VALUES.map(json.dumps))
+@example('{"target":"Line","q":[],"c0":Infinity,"c1":0,"c2":1,"eps":{}}')
+@example("[" + "1" * 5000 + "]")  # an integer too long to convert
+@settings(max_examples=300)
+def test_any_text_gives_a_critical_type_or_a_format_error(text):
+    try:
+        k = critical_type_from_json(text)
+    except FormatError:
+        return
+    assert critical_type_from_json(critical_type_to_json(k)) == k

@@ -23,6 +23,7 @@ from morse_topo.symplectic import (
     transvection,
     word_inverse,
 )
+from morse_topo.surface import FormatError
 
 SEED = int(os.environ.get("MORSE_TOPO_SEED", "0"))
 
@@ -343,3 +344,74 @@ def test_omega_matrix_squares_to_minus_identity():
         assert sq.rows == tuple(
             tuple(-1 if r == c else 0 for c in range(2 * g)) for r in range(2 * g)
         )
+
+
+MATRIX_LIKE = st.builds(
+    lambda header, rows: header + "\n" + "\n".join(" ".join(row) for row in rows),
+    st.sampled_from(["SP 1", "SP 2", "SP 0", "SP -1", "SP x", "SP", "S", "SP 1 2"]),
+    st.lists(
+        st.lists(st.sampled_from(["0", "1", "-1", "7", "x", "1.5", "", "9" * 5000]), max_size=5),
+        max_size=5,
+    ),
+)
+
+
+@given(st.text() | MATRIX_LIKE)
+@settings(max_examples=300)
+def test_any_text_gives_a_matrix_or_a_format_error(text):
+    try:
+        m = parse_matrix(text)
+    except FormatError:
+        return
+    assert parse_matrix(format_matrix(m)) == m
+
+
+WORD_LIKE = st.lists(
+    st.builds(
+        "".join,
+        st.lists(
+            st.sampled_from(["Ta", "Tb", "Mu", "Eta", "Nu", "Xy", "1", "2", "0", ",", "^",
+                             "-", "^-", "10", "9" * 5000]),
+            max_size=6,
+        ),
+    ),
+    max_size=4,
+).map(" ".join)
+
+
+@given(st.text() | WORD_LIKE)
+@settings(max_examples=300)
+def test_any_text_gives_a_word_or_a_value_error(text):
+    try:
+        w = parse_word(text)
+    except ValueError:
+        return
+    assert parse_word(format_word(w)) == w
+
+
+@st.composite
+def words(draw):
+    g = draw(st.integers(1, 5))
+    word = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(ALLOWED_NAMES if g > 1 else ("Ta", "Tb")))
+        i = draw(st.integers(1, g))
+        j = None
+        if name in ("Mu", "Eta", "Nu"):
+            j = draw(st.integers(1, g).filter(lambda j: j != i))
+        exp = draw(st.integers(-(10**30), 10**30).filter(bool))
+        word.append(gen(name, i, j, exp))
+    return tuple(word)
+
+
+@given(words())
+def test_any_word_text_round_trips(w):
+    assert parse_word(format_word(w)) == w
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda g: st.lists(st.lists(st.integers(), min_size=2 * g, max_size=2 * g),
+                       min_size=2 * g, max_size=2 * g)))
+def test_any_integer_matrix_text_round_trips(rows):
+    m = SpMatrix(rows)
+    assert parse_matrix(format_matrix(m)) == m
