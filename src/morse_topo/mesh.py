@@ -3,16 +3,17 @@
 A mesh is a triangulated compact surface whose vertices carry heights in
 Q.  Boundary circles are explicit vertex cycles, each at a constant
 height.  Building a mesh gives every vertex an integer key that orders
-and ties exactly like its height, checks the mesh and orders the link of
-every vertex once, from one pass over the triangles.  From then on the
-checks and the sweep compare only keys.  Extraction sorts the vertices
-by key once and sweeps them bottom-up, classifying each vertex when it
-reaches it by the runs of lower vertices around its link, and labelling
-every edge that crosses the sweep level with the id of its level circle
-(union-find for merges, walks along the level curve for splits).  That
-costs O(m) plus the smaller side of every split and the walks at
-degree-two saddles, for m triangles.  Everything is exact; inputs whose
-event heights collide are rejected rather than perturbed.
+and ties exactly like its height, and checks the mesh: one pass over the
+triangles builds the incidence, and one breadth-first walk over the
+vertex links orders every link and orients every triangle.  From then on
+the checks and the sweep compare only keys.  Extraction sorts the
+vertices by key once and sweeps them bottom-up, classifying each vertex
+when it reaches it by the runs of lower vertices around its link, and
+labelling every edge that crosses the sweep level with the id of its
+level circle (union-find for merges, walks along the level curve for
+splits).  That costs O(m) plus the smaller side of every split and the
+walks at degree-two saddles, for m triangles.  Everything is exact;
+inputs whose event heights collide are rejected rather than perturbed.
 """
 from __future__ import annotations
 
@@ -113,30 +114,37 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     """Check that ``m`` is a valid mesh and return the ordered link of each
     vertex.
 
-    The incidence is built once: the triangles on each edge, keyed
-    lo*n+hi, and the star (the triangles) of each vertex.  Each link is
-    walked from triangle to triangle across the edges at its vertex, and a
-    walk that misses part of the star (a pinched vertex) is rejected; one
-    walk over the triangles across shared edges decides connectivity and
-    orientability.
+    One loop over the triangles builds the incidence: the triangles on each
+    edge, keyed lo*n+hi, and the number at each vertex.  The links are then
+    walked breadth-first from a vertex of triangle 0, each from triangle to
+    triangle across the edges at its vertex.  A walk that misses part of the
+    star (a pinched vertex) is rejected, and so is a vertex no walk reaches.
+    Each walk also orients the triangles it crosses, the way the first one
+    an earlier walk oriented says; a triangle oriented both ways means the
+    mesh is not orientable.
     """
     n = m.num_vertices
     keys = m._keys
-    if n == 0 or not m.triangles:
+    tris = m.triangles
+    if n == 0 or not tris:
         raise ValueError("mesh needs vertices and triangles")
-    star: list[list[int]] = [[] for _ in range(n)]
+    count = [0] * n  # triangles at each vertex
     edge_tris: dict[int, list[int]] = {}
-    for i, t in enumerate(m.triangles):
-        if len(set(t)) != 3:
+    add = edge_tris.setdefault
+    for i, t in enumerate(tris):
+        a, b, c = t if len(t) == 3 else (0, 0, 0)  # not three vertices: degenerate
+        if a == b or b == c or a == c:
             raise ValueError(f"degenerate triangle {t}")
-        for v in t:
-            if not 0 <= v < n:
-                raise ValueError(f"triangle vertex {v} out of range")
-            star[v].append(i)
-        a, b, c = t
-        for u, w in ((a, b), (b, c), (a, c)):
-            edge_tris.setdefault(u * n + w if u < w else w * n + u, []).append(i)
-    if not all(star):
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            v = next(v for v in t if not 0 <= v < n)
+            raise ValueError(f"triangle vertex {v} out of range")
+        count[a] += 1
+        count[b] += 1
+        count[c] += 1
+        add(a * n + b if a < b else b * n + a, []).append(i)
+        add(b * n + c if b < c else c * n + b, []).append(i)
+        add(a * n + c if a < c else c * n + a, []).append(i)
+    if not all(count):
         raise ValueError("every vertex must lie on a triangle")
 
     boundary_edges = set()
@@ -160,15 +168,15 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
 
-    for e, tris in edge_tris.items():
+    for e, on_edge in edge_tris.items():
         if e in boundary_edges:
-            if len(tris) != 1:
+            if len(on_edge) != 1:
                 raise ValueError(
-                    f"boundary edge {divmod(e, n)} borders {len(tris)} triangles"
+                    f"boundary edge {divmod(e, n)} borders {len(on_edge)} triangles"
                 )
-        elif len(tris) != 2:
+        elif len(on_edge) != 2:
             raise ValueError(
-                f"interior edge {divmod(e, n)} borders {len(tris)} triangles "
+                f"interior edge {divmod(e, n)} borders {len(on_edge)} triangles "
                 "(surface is not closed there or not a manifold)"
             )
     for e in boundary_edges:
@@ -184,56 +192,67 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     # every edge at v borders two triangles, except the two boundary edges
     # of a boundary vertex, so a walk from a triangle at v closes a cycle,
     # or runs from one boundary edge to the other
-    links = []
-    for v in range(n):
+    links: list = [None] * n
+    sign = [0] * len(tris)  # +1 along a triangle's vertex order, -1 against
+    start = [-1] * n  # the triangle where the walks reached each vertex
+    orientable = connected = True
+    order = [tris[0][0]]  # the vertices in the order their links are walked
+    start[order[0]] = 0
+    for i, v in enumerate(order):
         if v in successor:
             a = successor[v]
             t = edge_tris[v * n + a if v < a else a * n + v][0]
         else:
-            t = star[v][0]
-            x, y, _ = m.triangles[t]
+            t = start[v]
+            x, y, _ = tris[t]
             a = y if x == v else x
         link = [a]
         w = a
+        # +1 if the star is oriented v -> w -> next link vertex, -1 if the
+        # other way round: the first triangle an earlier walk signed says
+        # which, and the triangles no walk has signed are signed at the end
+        way = 0
+        unsigned = []
         while True:
-            x, y, z = m.triangles[t]
-            # the vertex of t that is neither v nor the last one on the link
-            w = x if x != v and x != w else y if y != v and y != w else z
+            x, y, z = tris[t]
+            # the vertex of t that is neither v nor the last one on the link,
+            # and whether t runs v -> w -> that vertex
+            if x != v and x != w:
+                w, along = x, y == v
+            elif y != v and y != w:
+                w, along = y, z == v
+            else:
+                w, along = z, x == v
+            s = sign[t]
+            if not s:
+                unsigned.append((t, along))
+            elif not way:
+                way = s if along else -s
+            elif s != (way if along else -way):
+                orientable = False
             if w == a:
                 break  # the cycle is closed
             link.append(w)
+            if start[w] < 0:
+                start[w] = t
+                order.append(w)
             pair = edge_tris[v * n + w if v < w else w * n + v]
             if len(pair) == 1:
                 break  # the other boundary edge
             t = pair[0] + pair[1] - t  # the other triangle on the edge v w
-        if len(link) - (v in successor) != len(star[v]):
+        way = way or 1
+        for t, along in unsigned:
+            sign[t] = way if along else -way
+        if len(link) - (v in successor) != count[v]:
             raise ValueError(f"vertex {v}: link is not connected")
-        links.append(tuple(link))
-
-    # one walk from the first triangle across shared edges reaches every
-    # triangle of a connected mesh, and orients each one so that it runs
-    # along a shared edge the other way from its neighbour
-    sign = [0] * len(m.triangles)
-    sign[0] = 1
-    stack = [0]
-    orientable = True
-    while stack:
-        t = stack.pop()
-        a, b, c = m.triangles[t]
-        for u, w in ((a, b), (b, c), (c, a)):
-            pair = edge_tris[u * n + w if u < w else w * n + u]
-            if len(pair) == 1:
-                continue
-            nb = pair[0] + pair[1] - t
-            tri = m.triangles[nb]
-            same_way = tri[tri.index(u) - 2] == w  # nb runs from u to w too
-            want = -sign[t] if same_way else sign[t]
-            if not sign[nb]:
-                sign[nb] = want
-                stack.append(nb)
-            elif sign[nb] != want:
-                orientable = False
-    if not all(sign):
+        links[v] = tuple(link)
+        if len(order) == i + 1 < n:
+            # not connected, but walk on so that a pinched vertex wins
+            connected = False
+            t = sign.index(0)  # a triangle no walk has crossed
+            start[tris[t][0]] = t
+            order.append(tris[t][0])
+    if not connected:
         raise ValueError("mesh must be connected")
     if orientable != m.orientable:
         word = "orientable" if m.orientable else "non-orientable"
@@ -274,13 +293,15 @@ def parse_hmesh(text: str) -> HeightMesh:
                     raise MeshFormatError("header must be 'HMESH orientable|nonorientable'")
                 orientable = parts[1] == "orientable"
             elif parts[0] == "v":
-                vid = int(parts[1])
+                _, vid, height = parts  # no more and no fewer fields
+                vid = int(vid)
                 if vid in heights:
                     raise MeshFormatError(f"line {lineno}: duplicate vertex id {vid}")
-                num, _, den = parts[2].partition("/")
+                num, _, den = height.partition("/")
                 heights[vid] = Fraction(int(num), int(den) if den else 1)
             elif parts[0] == "t":
-                triangles.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                _, a, b, c = parts
+                triangles.append((int(a), int(b), int(c)))
             elif parts[0] == "b":
                 cycles.append((parts[1], tuple(int(x) for x in parts[2:])))
             else:

@@ -352,6 +352,71 @@ def random_grid_mesh(rng: random.Random, family: str, n: int) -> HeightMesh:
     return puncture_extremum(m, v, "hole", heights[v])
 
 
+def relabelled(m: HeightMesh, rng: random.Random) -> HeightMesh:
+    """``m`` with its vertices renumbered and its triangles shuffled, each
+    rotated and, at random, reversed, as the benchmark relabels its meshes."""
+    perm = list(range(m.num_vertices))
+    rng.shuffle(perm)
+    heights = [Fraction(0)] * m.num_vertices
+    for v, h in enumerate(m.heights):
+        heights[perm[v]] = h
+    tris = []
+    for t in rng.sample(m.triangles, len(m.triangles)):
+        r = rng.randrange(3)
+        t = [perm[v] for v in t[r:] + t[:r]]
+        tris.append(tuple(reversed(t)) if rng.random() < 0.5 else tuple(t))
+    cycles = tuple((label, tuple(perm[v] for v in cyc)) for label, cyc in m.boundary_cycles)
+    return HeightMesh(m.orientable, tuple(heights), tuple(tris), cycles)
+
+
+def oracle_links(m: HeightMesh) -> list[list[int]]:
+    """The link of every vertex, chained from the unordered pairs of
+    vertices opposite it in its triangles: a cycle, or for a boundary vertex
+    a path between its two neighbours on the boundary."""
+    opposite: list[dict[int, list[int]]] = [{} for _ in range(m.num_vertices)]
+    for a, b, c in m.triangles:
+        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            opposite[v].setdefault(x, []).append(y)
+            opposite[v].setdefault(y, []).append(x)
+    links = []
+    for pairs in opposite:
+        ends = [x for x, ys in pairs.items() if len(ys) == 1]
+        link = [ends[0] if ends else min(pairs)]
+        prev = None
+        while True:
+            step = [y for y in pairs[link[-1]] if y != prev]
+            if not step or step[0] == link[0]:
+                break
+            prev = link[-1]
+            link.append(step[0])
+        links.append(link)
+    return links
+
+
+def oracle_orientable(m: HeightMesh) -> bool:
+    """Whether the connected mesh ``m`` is orientable, from its orientation
+    double cover: a node per triangle and orientation, joined across every
+    interior edge to the orientation of the neighbour that runs the edge the
+    other way.  The cover has two components if the surface is orientable,
+    one if it is not."""
+    import networkx as nx
+
+    runs: dict[frozenset, list[tuple[int, int]]] = {}  # edge -> (triangle, tail)
+    for i, (a, b, c) in enumerate(m.triangles):
+        for u, w in ((a, b), (b, c), (c, a)):
+            runs.setdefault(frozenset((u, w)), []).append((i, u))
+    cover = nx.Graph()
+    cover.add_nodes_from((i, s) for i in range(len(m.triangles)) for s in (1, -1))
+    for pair in runs.values():
+        if len(pair) == 2:
+            (i, u), (j, x) = pair
+            # with orientations s and s', the two run the edge opposite ways
+            # when s' = s if their vertex orders already do, else s' = -s
+            for s in (1, -1):
+                cover.add_edge((i, s), (j, -s if u == x else s))
+    return nx.number_connected_components(cover) == 2
+
+
 def level_circles(m: HeightMesh, c) -> list[frozenset]:
     """Circles of the level set at a regular height ``c``, as sets of
     crossing edges: union-find over the edges the level crosses."""

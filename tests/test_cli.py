@@ -287,6 +287,13 @@ ERROR_CONTRACT = {
         {"a.hmesh": format_hmesh(meshes.tetrahedron()).replace("t 0", "v 0 5/1\nt 0", 1)},
         "format: line 6: duplicate vertex id 0",
     ),
+    "reeb-triangle-fields": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": "HMESH orientable\nv 0 0\nv 1 1\nv 2 2\nv 3 3\nt 0 1 2 3\n"},
+        "format: line 6: cannot parse 't 0 1 2 3'",
+    ),
+    "reeb-vertex-fields": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 5 junk\n"},
+                           "format: line 2: cannot parse 'v 0 5 junk'"),
     "reeb-flat-disk": (
         ["reeb", "{d}/a.hmesh"],
         {"a.hmesh": "HMESH orientable\nv 0 0\nv 1 0\nv 2 0\nt 0 1 2\nb rim 0 1 2\n"},

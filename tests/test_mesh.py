@@ -207,7 +207,7 @@ def test_hundred_thousand_vertex_torus():
     assert m.euler_characteristic() == 0
     # the Reeb graph of a torus has one loop: as many edges as vertices
     assert len(graph.vertices) == len(graph.edges) == 28
-    assert elapsed < 10.0, f"building and extracting took {elapsed:.2f}s"
+    assert elapsed < 5.0, f"building and extracting took {elapsed:.2f}s"
 
 
 def test_extraction_invariant_under_relabelling():
@@ -306,6 +306,10 @@ def test_hmesh_parse_errors():
         parse_hmesh("HMESH orientable\nv 0 one\n")
     with pytest.raises(MeshFormatError, match="0..n-1"):
         parse_hmesh("HMESH orientable\nv 5 1/1\nt 0 1 2\n")
+    # every record has exactly its fields, no more and no fewer
+    for record in ("v 0", "v 0 5 junk", "t 0 1", "t 0 1 2 3"):
+        with pytest.raises(MeshFormatError, match=f"line 3: cannot parse '{record}'"):
+            parse_hmesh(f"HMESH orientable\nv 1 1\n{record}\n")
 
 
 def test_monkey_saddle_rejected():
@@ -408,6 +412,37 @@ def test_pinched_vertex_rejected():
         HeightMesh(True, *meshes.PINCHED_TETRAHEDRA)
 
 
+def _tetrahedron(a, b, c, d):
+    return ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
+
+
+def test_pinched_vertex_beats_disconnected_mesh():
+    # a tetrahedron, and apart from it two tetrahedra pinched at vertex 4,
+    # which the walks from triangle 0 never reach
+    heights, tris = meshes.PINCHED_TETRAHEDRA
+    m = (
+        tuple(map(F, range(4))) + tuple(h + 10 for h in heights),
+        _tetrahedron(0, 1, 2, 3) + tuple(tuple(v + 4 for v in t) for t in tris),
+    )
+    with pytest.raises(ValueError, match="vertex 4: link is not connected"):
+        HeightMesh(True, *m)
+
+
+def test_disconnected_mesh_beats_orientability():
+    with pytest.raises(ValueError, match="mesh must be connected"):
+        HeightMesh(
+            False, tuple(map(F, range(8))), _tetrahedron(0, 1, 2, 3) + _tetrahedron(4, 5, 6, 7)
+        )
+
+
+def test_first_walked_pinched_vertex_is_named():
+    # three tetrahedra in a chain, pinched at vertices 0 and 1; the walks
+    # start at triangle 0's first vertex, 1
+    tris = _tetrahedron(1, 2, 3, 4) + _tetrahedron(0, 1, 8, 9) + _tetrahedron(0, 5, 6, 7)
+    with pytest.raises(ValueError, match="vertex 1: link is not connected"):
+        HeightMesh(True, tuple(map(F, range(10))), tris)
+
+
 def test_mesh_manifold_validation():
     with pytest.raises(ValueError, match="borders"):
         HeightMesh(
@@ -436,6 +471,37 @@ def test_orientability_flag_checked():
     pp = meshes.projective_plane()
     with pytest.raises(ValueError, match="gluing disagrees"):
         HeightMesh(True, pp.heights, pp.triangles)
+
+
+def _canonical_link(link, cyclic):
+    """A link up to reversal and, for a cycle, rotation."""
+    turns = [list(link), list(reversed(link))]
+    if cyclic:
+        turns = [t[i:] + t[:i] for t in turns for i in range(len(t))]
+    return min(turns)
+
+
+def test_links_and_orientability_match_oracles():
+    pytest.importorskip("networkx")
+    rng = random.Random(SEED + 2)
+    grids = []
+    while len(grids) < 200:
+        family = rng.choice(("torus", "klein", "holed"))
+        try:
+            m = meshes.random_grid_mesh(rng, family, rng.randint(4, 7))
+        except NotGenericError:
+            continue
+        grids.append(meshes.relabelled(m, rng))
+    assert {len(m.boundary_cycles) for m in grids} == {0, 1}
+    assert {m.orientable for m in grids} == {True, False}
+    for m in list(meshes.corpus().values()) + grids:
+        boundary = {v for _, cyc in m.boundary_cycles for v in cyc}
+        for v, expected in enumerate(meshes.oracle_links(m)):
+            cyclic = v not in boundary
+            assert _canonical_link(m._links[v], cyclic) == _canonical_link(expected, cyclic)
+        assert meshes.oracle_orientable(m) == m.orientable
+        with pytest.raises(ValueError, match="triangle gluing disagrees"):
+            HeightMesh(not m.orientable, m.heights, m.triangles, m.boundary_cycles)
 
 
 def primes_above(low: int, count: int) -> list[int]:
