@@ -9,10 +9,16 @@ mapping classes).  Bad input exits 1 with a one-line JSON error on stderr:
 (``FormatError``), ``domain:`` for any other ``ValueError``.  Any other
 exception exits 3 with an ``internal:`` error and is logged to the
 ``morse_topo`` logger; usage errors exit 2.  All output is deterministic.
+
+``main`` may be called many times in one process, and each call behaves
+like a fresh process.  The argparse tree is built once per process, and
+``main`` finds the subcommand's ``cmd_<name>`` function by name at call
+time, so a replaced module attribute is the one that runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -36,8 +42,9 @@ def _read_file(path: str) -> str:
         raise DomainError("io", f"cannot read {path}: {exc.strerror}") from None
 
 
-def _json_line(payload) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+# one encoder for every line: ``json.dumps`` with ``separators`` builds a
+# new one per call
+_json_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:
@@ -185,22 +192,25 @@ def cmd_factor(args) -> int:
 
 def cmd_generators(args) -> int:
     s, eps = _parse_surface(args)
-    for g in mcg.canonical_generator_set(s, eps, _target(args)):
-        print(
-            _json_line(
-                {
-                    "kind": g.kind.value,
-                    "name": g.name,
-                    "curve": g.curve,
-                    "curve_class": list(g.curve_class) if g.curve_class else None,
-                    "admissible": g.admissible.value,
-                }
-            )
+    sys.stdout.writelines(
+        _json_line(
+            {
+                "kind": g.kind.value,
+                "name": g.name,
+                "curve": g.curve,
+                "curve_class": list(g.curve_class) if g.curve_class else None,
+                "admissible": g.admissible.value,
+            }
         )
+        + "\n"
+        for g in mcg.canonical_generator_set(s, eps, _target(args))
+    )
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared with ``main``: do not change it."""
     parser = argparse.ArgumentParser(
         prog="morse-topo",
         description="Critical types, Reeb graphs and integer symplectic words "
@@ -210,20 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reeb", help="extract the Reeb graph of a height mesh")
     p.add_argument("mesh", help="input .hmesh file")
-    p.set_defaults(func=cmd_reeb)
 
     p = sub.add_parser("classify", help="compare two critical-type JSON files")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--up-to-flip", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("canonical", help="emit the normal-form graph for a type")
     _add_surface_arguments(p)
     p.add_argument("--c0", type=int, required=True, help="number of minima")
     p.add_argument("--c2", type=int, required=True, help="number of maxima")
     p.add_argument("--q", default=None, help="homotopy vector, e.g. 1,0")
-    p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser(
         "sp-decompose",
@@ -231,32 +238,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("matrix", help="matrix file ('SP <g>' header plus rows)")
     p.add_argument("--g", type=int, default=None, help="expected genus (checked)")
-    p.set_defaults(func=cmd_sp_decompose)
 
     p = sub.add_parser("admissible", help="test a Dehn twist against a map class")
     p.add_argument("--q", required=True, help="cohomology vector of the map")
     p.add_argument("--gamma", required=True, help="homology class of the curve")
-    p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser(
         "factor", help="factor a homology action fixing the fiber class"
     )
     p.add_argument("--q", required=True)
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("generators", help="list mapping-class generators and flags")
     _add_surface_arguments(p)
-    p.set_defaults(func=cmd_generators)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     code = 1
     try:
-        return args.func(args)
+        return command(args)
     except DomainError as exc:
         message = str(exc)
     except (FormatError, UnicodeDecodeError) as exc:  # not UTF-8: not parseable either

@@ -41,6 +41,11 @@ _DEGREE = {
 }
 
 
+def _exact(x) -> Fraction:
+    """``x`` as a ``Fraction``; a ``Fraction`` is kept as the same object."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class KRVertex:
     id: int
@@ -49,7 +54,7 @@ class KRVertex:
     boundary_label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "height", Fraction(self.height))
+        object.__setattr__(self, "height", _exact(self.height))
         if (self.kind is VertexKind.BOUNDARY) != (self.boundary_label is not None):
             raise ValueError("boundary label exactly on BoundaryCircle vertices")
 
@@ -71,7 +76,7 @@ class KREdge:
     def __post_init__(self):
         if self.lift is not None:
             lo, hi = self.lift
-            object.__setattr__(self, "lift", (Fraction(lo), Fraction(hi)))
+            object.__setattr__(self, "lift", (_exact(lo), _exact(hi)))
 
 
 class KRGraph:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import pathlib
@@ -432,6 +433,64 @@ def test_internal_error_is_logged(monkeypatch, capsys, caplog):
     assert json.loads(err) == {"error": "internal: KeyError: 'lost'"}
     (record,) = [r for r in caplog.records if r.name == "morse_topo"]
     assert record.exc_info[0] is KeyError
+
+
+def _in_process(argv, capsys):
+    from morse_topo import cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_calls_behave_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    a = tmp_path / "a.ktype"
+    b = tmp_path / "b.ktype"
+    a.write_text('{"target":"Circle","q":[1,0],"c0":0,"c1":2,"c2":0,"eps":{}}')
+    b.write_text('{"target":"Circle","q":[-1,0],"c0":0,"c1":2,"c2":0,"eps":{}}')
+    circle = ["canonical", "--genus", "1", "--target", "circle", "--c0", "0", "--c2", "0"]
+    torus = ["canonical", "--genus", "1", "--c0", "1", "--c2", "1"]
+    sequences = [
+        [["canonical", "--genus", "1"], torus],
+        [["generators", "--genus", "2", "--nonorientable"], ["generators", "--genus", "2"]],
+        [circle + ["--q", "1,0"], circle],
+        [["classify", "--up-to-flip", str(a), str(b)], ["classify", str(a), str(b)]],
+        [ERROR_CONTRACT["canonical-q"][0], torus],
+    ]
+    for argvs in sequences:
+        fresh = [run_cli(*argv) for argv in argvs]
+        expected = [(r.returncode, r.stdout, r.stderr) for r in fresh]
+        assert [_in_process(argv, capsys) for argv in argvs] == expected, argvs
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    from morse_topo import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    calls = [
+        ["admissible", "--q", "0,1", "--gamma", "1,0"],
+        ["generators", "--genus", "1"],
+        ["canonical", "--genus", "0", "--c0", "1", "--c2", "1"],
+        ["canonical", "--genus", "1"],  # usage error
+    ]
+    counts = []
+    for i in range(20):
+        _in_process(calls[i % len(calls)], capsys)
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 20
 
 
 def test_unknown_subcommand_is_usage_error():

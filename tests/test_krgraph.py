@@ -56,6 +56,17 @@ def free_loop(winding=1):
     return KRGraph(Target.CIRCLE, [], [KREdge(0, None, None, (F(0), F(winding)))])
 
 
+def test_heights_and_lifts_are_exact():
+    v = KRVertex(0, VertexKind.MIN, 3)
+    assert type(v.height) is F and v.height == 3
+    e = KREdge(0, 0, 1, [F(1, 4), F(3, 4)])
+    assert type(e.lift) is tuple and e.lift == (F(1, 4), F(3, 4))
+    assert type(KREdge(0, 0, 1, (0, 1)).lift[1]) is F
+    h = F(1, 3)
+    assert KRVertex(0, VertexKind.MIN, h).height is h
+    assert KREdge(0, 0, 1, (h, h + 1)).lift[0] is h
+
+
 def test_degree_validation():
     with pytest.raises(ValueError, match="degree"):
         KRGraph(
