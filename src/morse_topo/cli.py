@@ -180,6 +180,10 @@ def cmd_factor(args) -> int:
         word = mcg.factor_stabilizer(h, q)
     else:
         change = symplectic.symplectic_completion(L)
+        # checked on h itself: the conjugated matrix fixes e0 exactly when
+        # h fixes L, but its message would name a vector the user never gave
+        if h.apply(L) != L:
+            raise ValueError("matrix does not fix the level-set class")
         conjugated = change.inverse() * h * change
         word = symplectic.stabilizer_decompose(conjugated)
         basis_change = [list(row) for row in change.rows]

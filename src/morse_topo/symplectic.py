@@ -80,10 +80,12 @@ class SpMatrix:
 
     def is_symplectic(self) -> bool:
         """M^T Omega M == Omega: the (alternating) form is 1 on columns
-        (i, g+i) and 0 on every other pair j < k."""
+        (i, g+i) and 0 on every other pair j < k.  Each column c is turned
+        once into Omega c = (c_b, -c_a), so that form(x, c) = x . Omega c."""
         g, cols = self.g, list(zip(*self.rows))
+        turned = [c[g:] + tuple(-x for x in c[:g]) for c in cols]
         return all(
-            omega_product(cols[j], cols[k]) == (k == j + g)
+            sum(map(operator.mul, cols[j], turned[k])) == (k == j + g)
             for j in range(self.n)
             for k in range(j + 1, self.n)
         )
@@ -232,7 +234,7 @@ def evaluate(word: Sequence[GenPower], g: int) -> SpMatrix:
 
 def word_inverse(word: Sequence[GenPower]) -> Word:
     """Formal inverse of a word: reversed order, negated exponents."""
-    return tuple(p._replace(exp=-p.exp) for p in reversed(word))
+    return tuple(GenPower(p.name, p.i, p.j, -p.exp) for p in reversed(word))
 
 
 def _undo_ops(ops: Sequence[GenPower]) -> Word:
@@ -242,7 +244,7 @@ def _undo_ops(ops: Sequence[GenPower]) -> Word:
     Gm * ... * G1, whose inverse reads G1^-1 * ... * Gm^-1, i.e. the ops in
     their original order with negated exponents.
     """
-    return tuple(p._replace(exp=-p.exp) for p in ops)
+    return tuple(GenPower(p.name, p.i, p.j, -p.exp) for p in ops)
 
 
 def _transpose_power(p: GenPower) -> GenPower:
@@ -414,20 +416,35 @@ class _Eliminator:
     def _sweep(self) -> bool:
         """Greedily lower the summed squared norm of the rows.
 
-        Keeps the Gram matrix G = rows * rows^T.  A move I + tN adds
-        t*v*row[c] to row[r] for each entry (r, c, v) of N, and never reads a
-        row it writes, so the squared norms of the rows it changes sum to
+        Works on one table: row x is the block's row x followed by row x of
+        the Gram matrix G = rows * rows^T.  A move I + tN adds t*v*row[c] to
+        row[r] for each entry (r, c, v) of N, and never reads a row it
+        writes, so the squared norms of the rows it changes sum to
         A t^2 + 2 B t + const with A = sum G[c][c] and B = sum v G[r][c].
         The nearest integer to -B/A is applied only when it strictly lowers
         the norm, so the sweep over all named generators terminates; it is
-        repeated until a pass changes nothing.  Returns whether any move
-        was applied.
+        repeated until a pass changes nothing.  An applied move updates each
+        row r it changes, block and Gram part at once, with one pass over
+        its table row, then adds t*v times Gram column c to Gram column r.
+        The moves come with their nilpotent parts from ``_sweep_moves`` and
+        are recorded in ``ops`` without going through ``apply``.  The block
+        rows are copied back out of the table at the end.  Returns whether
+        any move was applied.
         """
         rows = self.rows
         if sum(x * x for row in rows for x in row) == len(rows):
             # every row is a signed unit vector: the norm is already minimal
             return False
-        gram = [[sum(map(operator.mul, ra, rb)) for rb in rows] for ra in rows]
+        # G is symmetric: take the dot products of its lower triangle once
+        low = [
+            [sum(map(operator.mul, ra, rb)) for rb in rows[: x + 1]]
+            for x, ra in enumerate(rows)
+        ]
+        n, w = len(rows), len(rows[0])
+        table = [
+            rows[x] + low[x] + [low[y][x] for y in range(x + 1, n)] for x in range(n)
+        ]
+        ops, off = self.ops, self.offset
         applied = False
         changed = True
         while changed:
@@ -435,20 +452,28 @@ class _Eliminator:
             for (name, i, j), nil in _sweep_moves(self.g):
                 a = b = 0
                 for r, c, v in nil:
-                    a += gram[c][c]
-                    b += v * gram[r][c]
+                    a += table[c][w + c]
+                    b += v * table[r][w + c]
                 t = (a - 2 * b) // (2 * a)
                 if t == 0 or t * (a * t + 2 * b) >= 0:
                     continue
-                self.apply(name, i, j, t)
+                ops.append(GenPower(name, i + off, None if j is None else j + off, t))
                 for r, c, v in nil:
                     tv = t * v
-                    gram[r] = [x + tv * y for x, y in zip(gram[r], gram[c])]
+                    # t * v = +-1 for nearly every move: add or subtract rows
+                    if tv == 1:
+                        table[r] = list(map(operator.add, table[r], table[c]))
+                    elif tv == -1:
+                        table[r] = list(map(operator.sub, table[r], table[c]))
+                    else:
+                        table[r] = [x + tv * y for x, y in zip(table[r], table[c])]
                 for r, c, v in nil:
-                    tv = t * v
-                    for row in gram:
-                        row[r] += tv * row[c]
+                    tv, gr, gc = t * v, w + r, w + c
+                    for row in table:
+                        row[gr] += tv * row[gc]
                 changed = applied = True
+        if applied:
+            rows[:] = [row[:w] for row in table]
         return applied
 
     # -- column stage: drive column 0 to the first basis vector ------------
@@ -516,6 +541,8 @@ def _sweep_moves(g: int) -> tuple:
 
     Cached: each level sweeps its rows and its columns at least once
     each with the same list, and factorisations at one genus share it.
+    Every move is built through ``gen``, so it is checked once per genus;
+    ``_Eliminator._sweep`` then records its powers without ``gen``.
     """
     moves = []
     for i in range(1, g + 1):

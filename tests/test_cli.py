@@ -379,6 +379,12 @@ ERROR_CONTRACT = {
                       "format: 'SP <g>' header needs g >= 1, got 0"),
     "factor-q-length": (["factor", "--q", "0,0,1,0", "--matrix", "{d}/a.sp"], {"a.sp": IDENTITY},
                         "domain: q must have length 2g"),
+    "factor-not-fixing": (["factor", "--q=0,1", "--matrix", "{d}/a.sp"], {"a.sp": "SP 1\n1 0\n-1 1\n"},
+                          "domain: matrix does not fix the level-set class"),
+    "factor-not-fixing-conjugated": (
+        ["factor", "--q=1,0", "--matrix", "{d}/a.sp"], {"a.sp": "SP 1\n1 1\n0 1\n"},
+        "domain: matrix does not fix the level-set class",
+    ),
     "generators-descriptor": (["generators", "--surface", "orientable:2"], {},
                               "format: descriptor needs a g=<genus> part: 'orientable:2'"),
     "generators-boundary": (["generators", "--genus", "1", "--boundary", "V"], {},

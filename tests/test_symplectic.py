@@ -1,13 +1,19 @@
+import contextlib
+import hashlib
+import io
 import os
 import random
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morse_topo.symplectic import (
     GenPower,
     SpMatrix,
+    _Eliminator,
+    _undo_ops,
     evaluate,
     format_matrix,
     format_word,
@@ -257,6 +263,53 @@ def test_genus_16_decomposition_time():
     assert time.perf_counter() - start < 2.0
 
 
+def pinned_outputs(workdir):
+    """Output texts pinned by ``test_words_are_pinned``, by case name."""
+    from morse_topo import cli
+
+    texts = {}
+    for g in (4, 8, 10, 13):
+        h = evaluate(bench_style_word(g, 20 * g, random.Random(f"pinned:{g}")), g)
+        texts[f"sp-decompose g={g}"] = format_word(stabilizer_decompose(h))
+    # factor at g=6 on a matrix fixing L = P e0 != e0, so the CLI conjugates
+    g = 6
+    h0 = evaluate(bench_style_word(g, 20 * g, random.Random("pinned:factor")), g)
+    p = evaluate((gen("Tb", 1, exp=2), gen("Nu", 3, 1), gen("Eta", 1, 5, exp=-1)), g)
+    level = p.column(0)
+    q = [-x for x in level[g:]] + list(level[:g])
+    path = os.path.join(workdir, "factor.sp")
+    with open(path, "w") as fh:
+        fh.write(format_matrix(p * h0 * p.inverse()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["factor", "--q=" + ",".join(map(str, q)), "--matrix", path])
+    texts["factor g=6"] = f"{code}\n{out.getvalue()}"
+    return texts
+
+
+# SHA-256 of each text of pinned_outputs, recorded before the size
+# reduction sweep kept its rows and Gram rows in one table
+PINNED_DIGESTS = {
+    "sp-decompose g=4": "1e216bba296b0b7cdbc22f8347901117ba9873b500f3e04460c1049cfabb8d84",
+    "sp-decompose g=8": "5500c193c9e6e55ca9e2ea623c89d1408ef4487091abd51f4a492735bf4220c5",
+    "sp-decompose g=10": "8324ad13847f52aa65fea8f8fdd3b32c3f1647506a374b31baf62cf892f4ef75",
+    "sp-decompose g=13": "d8585e216cb383aa3bdad4955de52e4fe6215828bfdc9f598aa1467fdc39090f",
+    "factor g=6": "a86950f07b6caf3941f6f745584ffb07532b425566a4e3c88aadc209a8d1ede7",
+}
+
+
+def test_words_are_pinned(tmp_path):
+    """The factoriser's words stay the same letter for letter, not merely
+    words that evaluate to the same matrix: speed-ups must keep every move,
+    exponent and word.  A change that alters the moves on purpose must
+    record these digests again and say so in CHANGES.md."""
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in pinned_outputs(str(tmp_path)).items()
+    }
+    assert digests == PINNED_DIGESTS
+
+
 def random_general_word(rng, g, max_len=25):
     word = []
     for _ in range(rng.randint(0, max_len)):
@@ -278,6 +331,70 @@ def test_general_sp_factor_round_trip():
         h = evaluate(random_general_word(rng, g), g)
         word = general_sp_factor(h, first_index=1)
         assert evaluate(word, g) == h
+
+
+@st.composite
+def general_blocks(draw):
+    """A matrix of Sp(2g, Z), 2 <= g <= 8, from a word over all generators."""
+    g = draw(st.integers(2, 8))
+    letters = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ALLOWED_NAMES),
+                st.integers(1, g),
+                st.integers(1, g),
+                st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            ),
+            max_size=40,
+        )
+    )
+    word = [
+        gen(name, i, None if name in ("Ta", "Tb") else j, exp)
+        for name, i, j, exp in letters
+        if name in ("Ta", "Tb") or i != j
+    ]
+    return g, evaluate(word, g)
+
+
+def squared_norm(rows):
+    return sum(x * x for row in rows for x in row)
+
+
+# a block whose row sweeps stall, so that the column sweeps act (W has 15
+# letters); random blocks at g <= 8 almost never need them
+STALLING_WORD = (
+    "Eta1,8^-3 Ta3 Eta2,6 Eta1,4^2 Ta8^3 Tb3^-3 Eta3,7 Mu1,4^-3 Mu3,8^-2 "
+    "Nu2,6^2 Mu7,8^-1 Eta2,8^2 Mu6,7^-1 Mu1,5^-3 Tb2^-1 Eta2,5^-2 Eta5,8^-1 "
+    "Eta2,4^3 Mu2,5^2 Tb6 Eta1,3^-1 Mu5,6^-1 Eta1,7 Tb3^-3 Tb3^-1 Eta2,6^-3 "
+    "Nu8,6^2 Nu7,3^-3 Mu2,3 Tb6^3"
+)
+
+
+@given(general_blocks())
+@example((8, evaluate(parse_word(STALLING_WORD), 8)))
+@settings(deadline=None, max_examples=80)
+def test_size_reduce_contract(case):
+    # size_reduce promises block == evaluate(_undo_ops(ops)) * rows * W, and
+    # each _sweep (on the rows or on the transpose) applies a move only
+    # when it strictly lowers the summed squared norm
+    g, block = case
+    sweeps = []
+    sweep = _Eliminator._sweep
+
+    def recorded_sweep(self):
+        before = squared_norm(self.rows)
+        applied = sweep(self)
+        sweeps.append((before, applied, squared_norm(self.rows)))
+        return applied
+
+    elim = _Eliminator([list(row) for row in block.rows], 0)
+    with mock.patch.object(_Eliminator, "_sweep", recorded_sweep):
+        right = elim.size_reduce()
+    assert evaluate(_undo_ops(elim.ops), g) * SpMatrix(elim.rows) * evaluate(right, g) == block
+    assert sweeps
+    for before, applied, after in sweeps:
+        assert after <= before
+        assert applied == (after < before)
 
 
 def test_general_sp_factor_shifted_indices():

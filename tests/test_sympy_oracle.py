@@ -110,6 +110,21 @@ def test_inverse_matches_sympy_inverse(case):
     assert as_sympy(h.inverse()) == as_sympy(h).inv()
 
 
+@given(general_words(max_g=6), st.data())
+@settings(deadline=None, max_examples=60)
+def test_is_symplectic_matches_sympy(case, data):
+    # a symplectic matrix, then a copy with one entry moved by 1..3 either way
+    g, word = case
+    h = evaluate(word, g)
+    r, c = data.draw(st.integers(0, 2 * g - 1)), data.draw(st.integers(0, 2 * g - 1))
+    shift = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    moved = [list(row) for row in h.rows]
+    moved[r][c] += shift
+    for m in (h, SpMatrix(moved)):
+        expected = as_sympy(m).T * form_matrix(g) * as_sympy(m) == form_matrix(g)
+        assert m.is_symplectic() == expected
+
+
 @given(allowed_words())
 @settings(deadline=None, max_examples=30)
 def test_stabilizer_decompose_round_trip_against_sympy(case):
