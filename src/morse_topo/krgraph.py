@@ -128,18 +128,9 @@ class KRGraph:
     def is_free_loop(self) -> bool:
         return not self.vertices and len(self.edges) == 1
 
-    def boundary_sign(self, vid: int) -> int:
-        """+1 when the surface lies below the boundary circle, -1 above."""
-        v = self.vertices[vid]
-        if v.kind is not VertexKind.BOUNDARY:
-            raise ValueError("not a boundary vertex")
-        sign = self.boundary_signs().get(vid)
-        if sign is None:
-            raise ValueError("boundary vertex has no incident edge")
-        return sign
-
     def boundary_signs(self) -> dict[int, int]:
-        """``boundary_sign`` of every boundary vertex, from one pass over the edges."""
+        """Per boundary vertex, +1 when the surface lies below its circle and
+        -1 above, from one pass over the edges."""
         signs: dict[int, int] = {}
         for e in self.edges:
             for vid, sign in ((e.head, 1), (e.tail, -1)):
@@ -336,58 +327,23 @@ class CutDecomposition:
     level: Fraction
     pieces: tuple[CutPiece, ...]
 
-    def by_class(self, cls: PieceClass) -> list[CutPiece]:
-        return [p for p in self.pieces if p.piece_class is cls]
-
-
-@dataclass
-class _Fragment:
-    """A maximal uncut stretch of one edge.
-
-    ``lower``/``upper`` are vertex ids or None for a cut attachment; the
-    raw interval comes from the edge lift and is later shifted by a
-    per-fragment integer so that lifts agree across each piece.
-    """
-
-    lower: int | None
-    upper: int | None
-    lo: Fraction
-    hi: Fraction
-    shift: int = 0
-
-
-def _edge_fragments(e: KREdge, points: list[Fraction]) -> list[_Fragment]:
-    lo, hi = e.lift
-    marks = [lo] + sorted(points) + [hi]
-    frags = []
-    for i in range(len(marks) - 1):
-        frags.append(
-            _Fragment(
-                e.tail if i == 0 else None,
-                e.head if i == len(marks) - 2 else None,
-                marks[i],
-                marks[i + 1],
-            )
-        )
-    if e.tail is None and len(frags) > 1:
-        # free loop: the stretches on either side of the base point wrap
-        # into one segment (shift the upper stretch down by the winding)
-        first, last = frags[0], frags[-1]
-        frags = frags[1:-1]
-        frags.append(_Fragment(None, None, last.lo - (hi - lo), first.hi))
-    return frags
-
 
 def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
     """Sever every edge crossing the level c + Z and classify the pieces.
 
     Each crossing produces a side-1 attachment on the stretch below it and
     a side-0 attachment on the stretch above it.  Pieces are the connected
-    components of what remains.  Every crossing is severed, so no piece
-    winds: a traversal can shift each fragment's interval by an integer to
-    obtain consistent lifts, and each piece then occupies a single band
-    between consecutive copies of the cut level (normalised here to
-    [c, c + 1]).
+    components of what remains, and every lift is given in the band
+    [c, c + 1].
+
+    A stretch runs between consecutive cut points or vertex ends of one
+    edge, so it lies inside one band [c + k, c + k + 1] with
+    k = floor(lo - c) for its lower end lo, and moves into [c, c + 1] on
+    its own, by -k.  A vertex is not on the level, so it lies strictly
+    inside the band of every stretch that meets it, and the same formula
+    applied to its height gives the one lift all those stretches agree on.
+    A free loop's two stretches either side of its base point join into
+    one, which stays last in the loop's list.
     """
     if graph.target is not Target.CIRCLE:
         raise ValueError("cutting is defined for Circle-target graphs")
@@ -400,84 +356,66 @@ def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
     cut_points: dict[int, list[Fraction]] = {}
     for e, t in crossings:
         cut_points.setdefault(e.id, []).append(t)
-    fragments: list[_Fragment] = []
+    # (lower vertex or None for a cut end, upper likewise, lo, hi)
+    stretches: list[tuple[int | None, int | None, Fraction, Fraction]] = []
     for e in graph.edges:
-        if e.id in cut_points:
-            fragments.extend(_edge_fragments(e, cut_points[e.id]))
-        else:
-            fragments.append(_Fragment(e.tail, e.head, e.lift[0], e.lift[1]))
+        lo, hi = e.lift
+        marks = [lo, *cut_points.get(e.id, ()), hi]
+        ends = [e.tail] + [None] * (len(marks) - 2) + [e.head]
+        run = list(zip(ends, ends[1:], marks, marks[1:]))
+        if e.tail is None:
+            # free loop: the stretches either side of the base point join
+            run = run[1:-1] + [(None, None, run[-1][2] - (hi - lo), run[0][3])]
+        for lower, upper, a, b in run:
+            k = math.floor(a - c)
+            stretches.append((lower, upper, a - k, b - k))
 
     by_vertex: dict[int, list[int]] = {}
-    for idx, f in enumerate(fragments):
-        for vid in (f.lower, f.upper):
+    for idx, (lower, upper, _, _) in enumerate(stretches):
+        for vid in (lower, upper):
             if vid is not None:
                 by_vertex.setdefault(vid, []).append(idx)
 
-    unseen = set(range(len(fragments)))
+    seen: set[int] = set()
     pieces = []
-    while unseen:
-        seed = min(unseen)
+    for seed in range(len(stretches)):
+        if seed in seen:
+            continue
+        seen.add(seed)
         stack = [seed]
-        unseen.discard(seed)
-        members = [seed]
-        vertex_lift: dict[int, Fraction] = {}
+        members = [stretches[seed]]
+        vids: set[int] = set()
         while stack:
-            idx = stack.pop()
-            f = fragments[idx]
-            for vid, raw in ((f.lower, f.lo), (f.upper, f.hi)):
-                if vid is None:
+            lower, upper, _, _ = stretches[stack.pop()]
+            for vid in (lower, upper):
+                if vid is None or vid in vids:
                     continue
-                lift = raw + f.shift
-                if vid not in vertex_lift:
-                    vertex_lift[vid] = lift
-                elif vertex_lift[vid] != lift:
-                    raise ValueError("inconsistent lifts inside a cut piece")
+                vids.add(vid)
                 for nxt in by_vertex[vid]:
-                    if nxt not in unseen:
-                        continue
-                    nf = fragments[nxt]
-                    raw_end = nf.lo if nf.lower == vid else nf.hi
-                    delta = vertex_lift[vid] - raw_end
-                    if delta.denominator != 1:
-                        raise ValueError("fragment shifts must be integral")
-                    nf.shift = int(delta)
-                    unseen.discard(nxt)
-                    stack.append(nxt)
-                    members.append(nxt)
-        pieces.append(_assemble_piece(graph, fragments, members, vertex_lift, c))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+                        members.append(stretches[nxt])
+        pieces.append(_assemble_piece(graph, members, vids, c))
     pieces.sort(key=lambda p: (sorted(v.id for v in p.vertices), p.piece_class.value))
     return CutDecomposition(c, tuple(pieces))
 
 
 def _assemble_piece(
     graph: KRGraph,
-    fragments: list[_Fragment],
-    members: list[int],
-    vertex_lift: dict[int, Fraction],
+    stretches: list[tuple[int | None, int | None, Fraction, Fraction]],
+    vids: set[int],
     c: Fraction,
 ) -> CutPiece:
-    # normalise the piece into the band [c, c + 1]
-    lifts = list(vertex_lift.values())
-    for idx in members:
-        f = fragments[idx]
-        lifts.extend((f.lo + f.shift, f.hi + f.shift))
-    band = math.floor(min(x - c for x in lifts))
-    offset = -band
-    edges = []
-    has0 = has1 = False
-    for idx in members:
-        f = fragments[idx]
-        if f.lower is not None:
-            plow: int | CutEnd = f.lower
-        else:
-            plow = CutEnd(0, f.lo + f.shift + offset)
-            has0 = True
-        if f.upper is not None:
-            pup: int | CutEnd = f.upper
-        else:
-            pup = CutEnd(1, f.hi + f.shift + offset)
-            has1 = True
-        edges.append(PieceEdge(plow, pup))
+    edges = [
+        PieceEdge(
+            CutEnd(0, lo) if lower is None else lower,
+            CutEnd(1, hi) if upper is None else upper,
+        )
+        for lower, upper, lo, hi in stretches
+    ]
+    has0 = any(lower is None for lower, _, _, _ in stretches)
+    has1 = any(upper is None for _, upper, _, _ in stretches)
     if has0 and has1:
         cls = PieceClass.Q01
     elif has0:
@@ -486,16 +424,12 @@ def _assemble_piece(
         cls = PieceClass.Q1
     else:
         raise ValueError("piece does not reach the cut level")
-    pvs = tuple(
-        PieceVertex(
-            vid,
-            graph.vertices[vid].kind,
-            lift + offset,
-            graph.vertices[vid].boundary_label,
-        )
-        for vid, lift in sorted(vertex_lift.items())
-    )
-    return CutPiece(pvs, tuple(edges), cls)
+    pvs = []
+    for vid in sorted(vids):
+        v = graph.vertices[vid]
+        lift = v.height - math.floor(v.height - c)
+        pvs.append(PieceVertex(vid, v.kind, lift, v.boundary_label))
+    return CutPiece(tuple(pvs), tuple(edges), cls)
 
 
 def piece_to_line_graph(

@@ -18,7 +18,6 @@ inputs whose event heights collide are rejected rather than perturbed.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -549,14 +548,8 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(arcs)]
     graph = KRGraph(Target.LINE, vertices, edges)
     surface = surface_of(m)
-    kinds = Counter(v.kind for v in vertices)
     ktype = CriticalType(
-        Target.LINE,
-        (0,) * surface.homology_rank,
-        kinds[VertexKind.MIN],
-        kinds[VertexKind.SADDLE3] + kinds[VertexKind.STAR2],
-        kinds[VertexKind.MAX],
-        eps,
+        Target.LINE, (0,) * surface.homology_rank, *graph.counts(), eps
     )
     problems = validate_critical_type(surface, ktype)
     if problems:

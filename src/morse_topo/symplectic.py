@@ -205,8 +205,18 @@ def named_generator(name: str, i: int, j: int | None = None, *, g: int) -> SpMat
 
 
 def _check_indices(word: Iterable[GenPower], g: int):
+    """Reject a letter that names no generator at genus g."""
     for p in word:
-        top = p.i if p.j is None else max(p.i, p.j)
+        if p.name in _SINGLE and p.j is None:
+            indices = (p.i,)
+        elif p.name in _DOUBLE and p.j not in (None, p.i):
+            indices = (p.i, p.j)
+        else:
+            indices = ()
+        if not indices or min(indices) < 1:
+            idx = p.i if p.j is None else f"{p.i},{p.j}"
+            raise ValueError(f"{p.name}{idx} is not a generator letter")
+        top = max(indices)
         if top > g:
             raise ValueError(f"generator index {top} exceeds genus {g}")
 

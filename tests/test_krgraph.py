@@ -1,10 +1,12 @@
+import hashlib
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from morse_topo.canonical import canonical_kr_graph
+from morse_topo.canonical import InfeasibleTypeError, canonical_kr_graph
 from morse_topo.krgraph import (
+    CutEnd,
     KREdge,
     KRGraph,
     KRVertex,
@@ -224,7 +226,7 @@ def test_cut_lobe_classes():
     dec = cut_at_level(g, F(3, 10))
     classes = sorted(p.piece_class.value for p in dec.pieces)
     assert classes == ["Q0", "Q01"]
-    q0 = dec.by_class(PieceClass.Q0)[0]
+    q0 = [p for p in dec.pieces if p.piece_class is PieceClass.Q0][0]
     assert [v.kind for v in q0.vertices] == [VertexKind.MAX]
     # above the max only the cycle crosses: everything stays in one piece
     dec2 = cut_at_level(g, F(1, 2))
@@ -303,3 +305,131 @@ def test_to_dot_is_deterministic_and_complete():
     text = to_dot(KRGraph(Target.LINE, vs, [KREdge(0, 0, 1)]))
     assert 'shape=doublecircle' in text and 'boundary="rim"' in text
     assert 'lift="0:1"' in to_dot(free_loop(1))
+
+
+def cut_corpus():
+    """(family, graph) pairs for the cut's digest and oracle tests."""
+    for orientable, genera in ((True, range(1, 6)), (False, range(2, 6))):
+        for genus in genera:
+            for b in range(4):
+                labels = tuple(f"V{i + 1}" for i in range(b))
+                s = Surface(orientable, genus, labels)
+                q = (1,) + (0,) * (s.homology_rank - 1)
+                eps = {l: (-1) ** (genus + i) for i, l in enumerate(labels)}
+                for c0, c2 in ((0, 0), (1, 1), (2, 0)):
+                    g = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
+                    yield "orientable" if orientable else "non-orientable", g
+                    if g.is_free_loop() or b > 1:
+                        continue
+                    *rest, wrap = g.edges
+                    lo, hi = wrap.lift
+                    for shift in (1, 2):
+                        lifted = (lo + shift, hi + shift)
+                        yield f"wrap +{shift}", KRGraph(
+                            Target.CIRCLE,
+                            g.vertices.values(),
+                            rest + [KREdge(wrap.id, wrap.tail, wrap.head, lifted)],
+                        )
+    for w in (1, 2, 3, 5):
+        yield "free loops", free_loop(w)
+    yield "free loops", KRGraph(
+        Target.CIRCLE, [], [KREdge(0, None, None, (F(7, 3), F(13, 3)))]
+    )
+    yield "balloon", balloon_graph()
+
+
+def cut_levels(g):
+    """Level 0, the midpoint of each pair of consecutive vertex heights and
+    one level outside [0, 1)."""
+    heights = sorted({v.height for v in g.vertices.values()})
+    levels = [F(0)] + [(a + b) / 2 for a, b in zip(heights, heights[1:])]
+    return levels + [levels[-1] - 3]
+
+
+def cut_text(g, c):
+    """Everything the cut at c reports: each piece's class, its cut-end lifts
+    and the DOT of its line graph, or the error message."""
+    try:
+        dec = cut_at_level(g, c)
+        parts = []
+        for piece in dec.pieces:
+            ends = [
+                (end.side, str(end.lift))
+                for e in piece.edges
+                for end in (e.lower, e.upper)
+                if isinstance(end, CutEnd)
+            ]
+            parts.append(f"{piece.piece_class.value} {ends}\n")
+            parts.append(to_dot(piece_to_line_graph(piece)))
+        return "".join(parts)
+    except ValueError as exc:
+        return f"error: {exc}\n"
+
+
+def cut_texts():
+    """Per family, the cut texts at every level of cut_levels and at every
+    vertex height, where the cut must refuse."""
+    texts = {}
+    for family, g in cut_corpus():
+        levels = cut_levels(g) + sorted(v.height for v in g.vertices.values())
+        for c in levels:
+            texts[family] = texts.get(family, "") + f"c={c}\n" + cut_text(g, c)
+    # a circle graph that never winds: every regular level misses it
+    flat = KRGraph(
+        Target.CIRCLE,
+        [KRVertex(0, VertexKind.MIN, F(1, 4)), KRVertex(1, VertexKind.MAX, F(3, 4))],
+        [KREdge(0, 0, 1, (F(1, 4), F(3, 4)))],
+    )
+    texts["no winding"] = cut_text(flat, F(0)) + cut_text(flat, F(1, 2))
+    return texts
+
+
+# SHA-256 of each text of cut_texts, recorded before the cut moved each
+# stretch into its band on its own
+CUT_DIGESTS = {
+    "orientable": "8aaa097ad222890f13184ef54fd7ba7e9e2093681ac4de0937b8054b262f9d8d",
+    "wrap +1": "475cf801d1467c59c95001a0be1069debf15d25df61f182976f4e68a40c0d739",
+    "wrap +2": "475cf801d1467c59c95001a0be1069debf15d25df61f182976f4e68a40c0d739",
+    "non-orientable": "6f0ef807930c13580aa9671750700d279ca904170a9b0efee36c59cc7c30e6a7",
+    "free loops": "db592d5f616756d918bb62559b68192c7b45acdb79cdaa2eb106425994c82e2c",
+    "balloon": "533a6cc48dc043f29845276a97db31604b5bca96d5b9f05263b5c5ced087b0b8",
+    "no winding": "62732a85367473f755c5d57f370605f531a0ef7bed04e913b8b9e67db1e49b21",
+}
+
+
+def test_cuts_are_pinned():
+    """The cut's pieces, lifts and line graphs stay the same byte for byte.
+    A change that alters them on purpose must record these digests again
+    and say so in CHANGES.md."""
+    digests = {
+        family: hashlib.sha256(text.encode()).hexdigest()
+        for family, text in cut_texts().items()
+    }
+    assert digests == CUT_DIGESTS
+
+
+def test_cut_against_fibres_and_vertices():
+    """Checks of every cut that read only the graph and the pieces."""
+    cuts = 0
+    for _, g in cut_corpus():
+        for c in cut_levels(g):
+            dec = cut_at_level(g, c)
+            cuts += 1
+            ends = [
+                end
+                for piece in dec.pieces
+                for e in piece.edges
+                for end in (e.lower, e.upper)
+                if isinstance(end, CutEnd)
+            ]
+            fibre = regular_fiber_components(g, c)
+            assert sum(end.side == 0 for end in ends) == fibre
+            assert sum(end.side == 1 for end in ends) == fibre
+            ids = [v.id for piece in dec.pieces for v in piece.vertices]
+            assert sorted(ids) == sorted(g.vertices)
+            lifts = [end.lift for end in ends]
+            lifts += [v.lift for piece in dec.pieces for v in piece.vertices]
+            assert all(c <= x <= c + 1 for x in lifts)
+            for piece in dec.pieces:
+                piece_to_line_graph(piece)
+    assert cuts > 1000

@@ -138,6 +138,16 @@ def test_evaluate_basics():
 def test_evaluate_rejects_bad_indices():
     with pytest.raises(ValueError):
         evaluate((gen("Ta", 3),), 2)
+    # letters built without gen that name no generator
+    for letter, name in (
+        (GenPower("Ta", 0, None, 1), "Ta0"),
+        (GenPower("Ta", 1, 2, 1), "Ta1,2"),
+        (GenPower("Nu", 1, 1, 1), "Nu1,1"),
+        (GenPower("Xx", 1, None, 1), "Xx1"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            evaluate((letter,), 2)
+    assert evaluate((GenPower("Mu", 2, 1, 1),), 2) == evaluate((gen("Mu", 1, 2),), 2)
 
 
 def test_gen_normalisation():
