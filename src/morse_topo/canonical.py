@@ -201,11 +201,9 @@ def _circle_canonical(
             Target.CIRCLE, [], [KREdge(0, None, None, (Fraction(0), Fraction(1)))]
         )
 
-    def lift(vid: int) -> Fraction:
-        return line.vertices[vid].height * scale
-
+    lift = {v.id: v.height * scale for v in line.vertices.values()}
     vertices = [
-        KRVertex(v.id, v.kind, lift(v.id), v.boundary_label)
+        KRVertex(v.id, v.kind, lift[v.id], v.boundary_label)
         for v in line.vertices.values()
         if v.id not in (seam_low, seam_high)
     ]
@@ -213,9 +211,9 @@ def _circle_canonical(
     for e in line.edges:
         if e is lower_edge or e is upper_edge:
             continue
-        edges.append(KREdge(len(edges), e.tail, e.head, (lift(e.tail), lift(e.head))))
+        edges.append(KREdge(len(edges), e.tail, e.head, (lift[e.tail], lift[e.head])))
     # the wrap edge: from the top of the chain through level 0 to the bottom
     tail = upper_edge.tail
     head = lower_edge.head
-    edges.append(KREdge(len(edges), tail, head, (lift(tail), lift(head) + 1)))
+    edges.append(KREdge(len(edges), tail, head, (lift[tail], lift[head] + 1)))
     return KRGraph(Target.CIRCLE, vertices, edges)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import logging
 import sys
@@ -194,20 +195,31 @@ def cmd_factor(args) -> int:
     return 0
 
 
+def _int_vector_json(v: tuple[int, ...]) -> str:
+    """``_json_line(list(v))`` for an integer vector, written as runs of
+    zeros between its non-zero entries: a curve class of a catalogue has
+    2g entries and at most two of them non-zero."""
+    parts = []
+    last = -1
+    for i in itertools.compress(range(len(v)), v):
+        parts += "0," * (i - last - 1), f"{v[i]},"
+        last = i
+    parts.append("0," * (len(v) - last - 1))
+    return "[" + "".join(parts)[:-1] + "]"
+
+
+def _generator_line(g: mcg.MCGGenerator) -> str:
+    """One catalogue line: the generator's fields as one JSON object."""
+    head = _json_line({"kind": g.kind.value, "name": g.name, "curve": g.curve})
+    cls = _int_vector_json(g.curve_class) if g.curve_class else _json_line(None)
+    tail = _json_line(g.admissible.value)
+    return f'{head[:-1]},"curve_class":{cls},"admissible":{tail}}}\n'
+
+
 def cmd_generators(args) -> int:
     s, eps = _parse_surface(args)
     sys.stdout.writelines(
-        _json_line(
-            {
-                "kind": g.kind.value,
-                "name": g.name,
-                "curve": g.curve,
-                "curve_class": list(g.curve_class) if g.curve_class else None,
-                "admissible": g.admissible.value,
-            }
-        )
-        + "\n"
-        for g in mcg.canonical_generator_set(s, eps, _target(args))
+        map(_generator_line, mcg.canonical_generator_set(s, eps, _target(args)))
     )
     return 0
 

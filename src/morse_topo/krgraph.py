@@ -252,16 +252,16 @@ def _line_crossings(graph: KRGraph, c: Fraction) -> list[KREdge]:
 def _circle_crossings(graph: KRGraph, c: Fraction) -> list[tuple[KREdge, Fraction]]:
     """(edge, lift point) pairs where the level c + Z meets an edge lift.
 
-    Intervals are open at both ends for anchored edges (regularity of c
-    keeps the endpoints away) and half-open [lo, hi) for the free loop,
-    whose endpoints are an arbitrary base point rather than vertices.
+    Intervals are open at both ends for anchored edges and half-open
+    [lo, hi) for the free loop, whose endpoints are an arbitrary base point
+    rather than vertices.  Every caller runs ``_require_regular`` first,
+    which rejects each level congruent to a vertex height and so to each
+    anchored lift end, so t == lo happens only on the free loop.
     """
     out = []
     for e in graph.edges:
         lo, hi = e.lift
         t = c + math.ceil(lo - c)  # smallest representative >= lo
-        if e.tail is not None and t == lo:
-            raise ValueError(f"level {c} is not regular on edge {e.id}")
         while t < hi:
             out.append((e, t))
             t += 1
@@ -407,6 +407,11 @@ def _assemble_piece(
     vids: set[int],
     c: Fraction,
 ) -> CutPiece:
+    """The piece made of ``stretches``, whose vertices are ``vids``.
+
+    Every piece has a cut end: the graph is connected, so a piece without
+    one would hold every edge, including the ones the level crosses.
+    """
     edges = [
         PieceEdge(
             CutEnd(0, lo) if lower is None else lower,
@@ -418,12 +423,8 @@ def _assemble_piece(
     has1 = any(upper is None for _, upper, _, _ in stretches)
     if has0 and has1:
         cls = PieceClass.Q01
-    elif has0:
-        cls = PieceClass.Q0
-    elif has1:
-        cls = PieceClass.Q1
     else:
-        raise ValueError("piece does not reach the cut level")
+        cls = PieceClass.Q0 if has0 else PieceClass.Q1
     pvs = []
     for vid in sorted(vids):
         v = graph.vertices[vid]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import meshes
 from morse_topo.mesh import format_hmesh
@@ -244,6 +245,71 @@ def test_generators_listing():
     r = run_cli("generators", "--genus", "2", "--nonorientable")
     names = [json.loads(l)["name"] for l in r.stdout.splitlines()]
     assert names == ["y", "t_beta_0"]
+
+
+_sparse_ints = st.one_of(
+    st.just(0), st.integers(-2, 2), st.integers(), st.sampled_from((2**64, -(2**70)))
+)
+
+
+@given(st.lists(_sparse_ints, max_size=80) | st.lists(st.integers(), max_size=20))
+@example([])
+@example([0] * 9)
+@example(list(range(-5, 6)))
+@example([0, 0, -3, 0, 2**65, 0])
+@example([0, -(2**64) - 1])
+def test_int_vector_json_matches_the_encoder(v):
+    from morse_topo import cli
+
+    assert cli._int_vector_json(tuple(v)) == cli._json_line(v)
+
+
+def _generators_oracle(genus, orientable, target, eps):
+    """Exit code, stdout and stderr of `generators`, each line built as a
+    dict and encoded whole."""
+    from morse_topo import cli, mcg
+    from morse_topo.surface import Surface, Target
+
+    try:
+        s = Surface(orientable, genus, tuple(eps))
+        gens = mcg.canonical_generator_set(s, eps, Target(target))
+    except ValueError as exc:
+        return 1, "", cli._json_line({"error": f"domain: {exc}"}) + "\n"
+    lines = [
+        cli._json_line(
+            {
+                "kind": g.kind.value,
+                "name": g.name,
+                "curve": g.curve,
+                "curve_class": list(g.curve_class) if g.curve_class else None,
+                "admissible": g.admissible.value,
+            }
+        )
+        + "\n"
+        for g in gens
+    ]
+    return 0, "".join(lines), ""
+
+
+def test_generators_output_matches_whole_line_encoding(capsys):
+    """`generators` writes each catalogue line with the bytes of encoding it
+    whole, up to genus 400 and 40 boundary circles."""
+    mixed = {f"B{i}": 1 if i % 3 else -1 for i in range(40)}
+    boundaries = [{}, {"V": 1}, {"V": -1}, {"V1": 1, "V2": -1, "V3": -1}, mixed]
+    runs = 0
+    for genus in (0, 1, 2, 3, 4, 50, 400):
+        for orientable in (True, False):
+            for target in ("Line", "Circle"):
+                for eps in boundaries if genus < 400 else (boundaries[0], mixed):
+                    argv = ["generators", "--genus", str(genus), "--target", target.lower()]
+                    boundary = ",".join(f"{l}:{'+' if e > 0 else '-'}" for l, e in eps.items())
+                    argv += ["--boundary", boundary]
+                    if not orientable:
+                        argv.append("--nonorientable")
+                    expected = _generators_oracle(genus, orientable, target, eps)
+                    assert _in_process(argv, capsys) == expected, argv
+                    runs += expected[0] == 0
+    assert runs > 80
 
 
 def test_surface_descriptor_form():
