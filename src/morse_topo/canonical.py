@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
+from .krgraph import SEAM_LOWER, SEAM_UPPER, KREdge, KRGraph, KRVertex, VertexKind
 from .surface import (
     CriticalType,
     Surface,
@@ -37,9 +37,6 @@ from .surface import (
     euler_characteristic,
     validate_critical_type,
 )
-
-SEAM_LOWER = "!B0"
-SEAM_UPPER = "~B1"
 
 
 class InfeasibleTypeError(ValueError):
@@ -76,7 +73,8 @@ def canonical_kr_graph(
     if problems:
         raise ValueError("; ".join(problems))
     if target is Target.LINE:
-        return _line_canonical(s, eps, c0, c2)
+        line = _line_canonical(s, eps, c0, c2)
+        return KRGraph(Target.LINE, line.vertices, line.edges)
     return _circle_canonical(s, eps, c0, c2, q)
 
 
@@ -98,7 +96,8 @@ class _Builder:
 
 def _line_canonical(
     s: Surface, eps: Mapping[str, int], c0: int, c2: int
-) -> KRGraph:
+) -> _Builder:
+    """Vertices and edges of the line normal form, not yet validated."""
     neg = sorted(l for l in s.boundary if eps[l] < 0)
     pos = sorted(l for l in s.boundary if eps[l] > 0)
     m = c0 + len(neg)
@@ -147,7 +146,7 @@ def _line_canonical(
     for saddle, leaf in zip(splits, upper):
         b.edge(saddle, leaf)
     b.edge(strand, upper[-1])
-    return KRGraph(Target.LINE, b.vertices, b.edges)
+    return b
 
 
 def _cut_surface(s: Surface) -> Surface:
@@ -187,7 +186,7 @@ def _circle_canonical(
 
     scale = Fraction(1, len(line.vertices) + 1)
     seam_low = seam_high = None
-    for v in line.vertices.values():
+    for v in line.vertices:
         if v.boundary_label == SEAM_LOWER:
             seam_low = v.id
         elif v.boundary_label == SEAM_UPPER:
@@ -201,10 +200,10 @@ def _circle_canonical(
             Target.CIRCLE, [], [KREdge(0, None, None, (Fraction(0), Fraction(1)))]
         )
 
-    lift = {v.id: v.height * scale for v in line.vertices.values()}
+    lift = [v.height * scale for v in line.vertices]  # by vertex id
     vertices = [
         KRVertex(v.id, v.kind, lift[v.id], v.boundary_label)
-        for v in line.vertices.values()
+        for v in line.vertices
         if v.id not in (seam_low, seam_high)
     ]
     edges = []

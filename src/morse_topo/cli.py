@@ -174,21 +174,9 @@ def cmd_admissible(args) -> int:
 def cmd_factor(args) -> int:
     q = _parse_vector(args.q)
     h = symplectic.parse_matrix(_read_file(args.matrix))
-    L = mcg.level_set_class(q, h.g).vector
-    e0 = tuple(1 if i == 0 else 0 for i in range(2 * h.g))
-    basis_change = None
-    if L == e0:
-        word = mcg.factor_stabilizer(h, q)
-    else:
-        change = symplectic.symplectic_completion(L)
-        # checked on h itself: the conjugated matrix fixes e0 exactly when
-        # h fixes L, but its message would name a vector the user never gave
-        if h.apply(L) != L:
-            raise ValueError("matrix does not fix the level-set class")
-        conjugated = change.inverse() * h * change
-        word = symplectic.stabilizer_decompose(conjugated)
-        basis_change = [list(row) for row in change.rows]
+    word, change = mcg.factor_stabilizer(h, q)
     text = symplectic.format_word(word)
+    basis_change = None if change is None else change.rows
     envelope = {"fixes_class": True, "torelli_residual": "identity", "basis_change": basis_change}
     print(_json_line(envelope))
     print(text)

@@ -22,6 +22,12 @@ from typing import Iterable, Sequence
 from .surface import CriticalType, Surface, Target, validate_critical_type
 
 
+# boundary labels of the two sides of a cut; they sort below and above
+# every other label, and cutting and gluing rely on both agreeing
+SEAM_LOWER = "!B0"
+SEAM_UPPER = "~B1"
+
+
 class VertexKind(enum.Enum):
     MIN = "Min"
     MAX = "Max"
@@ -433,15 +439,13 @@ def _assemble_piece(
     return CutPiece(tuple(pvs), tuple(edges), cls)
 
 
-def piece_to_line_graph(
-    piece: CutPiece, b0_label: str = "!B0", b1_label: str = "~B1"
-) -> KRGraph:
+def piece_to_line_graph(piece: CutPiece) -> KRGraph:
     """View a cut piece as a Line-target graph.
 
-    Attachment points become boundary-circle vertices labelled ``b0_label``
-    (side 0) and ``b1_label`` (side 1); multiple attachments on a side get a
-    numeric suffix.  Heights are the lifts, so the vertical order of the
-    piece is preserved.
+    Attachment points become boundary-circle vertices labelled
+    ``SEAM_LOWER`` (side 0) and ``SEAM_UPPER`` (side 1); multiple
+    attachments on a side get a numeric suffix.  Heights are the lifts, so
+    the vertical order of the piece is preserved.
     """
     vertices = [
         KRVertex(v.id, v.kind, v.lift, v.boundary_label) for v in piece.vertices
@@ -458,7 +462,7 @@ def piece_to_line_graph(
         ends = []
         for end in (e.lower, e.upper):
             if isinstance(end, CutEnd):
-                base = b0_label if end.side == 0 else b1_label
+                base = SEAM_LOWER if end.side == 0 else SEAM_UPPER
                 n = counters[end.side]
                 counters[end.side] += 1
                 label = base if totals[end.side] == 1 else f"{base}:{n}"
@@ -508,9 +512,9 @@ _DOT_SHAPE = {
 }
 
 
-def to_dot(graph: KRGraph, name: str = "kr") -> str:
+def to_dot(graph: KRGraph) -> str:
     """Deterministic GraphViz DOT rendering of a graph."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph kr {"]
     lines.append(f'  graph [target="{graph.target.value}"];')
     for vid in sorted(graph.vertices):
         v = graph.vertices[vid]

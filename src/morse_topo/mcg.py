@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .surface import Surface, Target
-from .symplectic import SpMatrix, Word, stabilizer_decompose, transvection
+from .symplectic import (
+    SpMatrix,
+    Word,
+    stabilizer_decompose,
+    symplectic_completion,
+    transvection,
+)
 
 
 @dataclass(frozen=True)
@@ -107,43 +113,38 @@ def _twist(curve: str, flag: Admissible, cls: tuple[int, ...] | None = None):
     )
 
 
-def _curve_labels_orientable(g: int, b_minus: int, b_plus: int) -> list[str]:
-    """Curve names of the reference configuration on an orientable surface.
+def _configuration_curves(
+    g: int, b_minus: int, b_plus: int
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Curves of the reference configuration on an orientable surface,
+    each named and with its homology class.
 
-    alpha_i/beta_i run over the g handles, gamma_i joins consecutive
-    handles, delta_i encircles the i-th negative boundary circle and
-    epsilon_i the i-th positive one (ordering by label).
+    alpha_i/beta_i run over the g handles and are the basis classes,
+    gamma_i joins consecutive handles and is homologous to
+    alpha_i - alpha_{i+1}, delta_i encircles the i-th negative boundary
+    circle and epsilon_i the i-th positive one (ordering by label); those
+    are boundary-parallel and null-homologous.
     """
-    names = [f"alpha_{i}" for i in range(1, g + 1)]
-    names += [f"beta_{i}" for i in range(1, g + 1)]
-    names += [f"gamma_{i}" for i in range(1, g)]
-    names += [f"delta_{i}" for i in range(1, b_minus + 1)]
-    names += [f"epsilon_{i}" for i in range(1, b_plus + 1)]
-    return names
-
-
-def _curve_class_orientable(curve: str, g: int) -> tuple[int, ...] | None:
-    """Homology class of a configuration curve, where it is determined.
-
-    alpha_i and beta_i are the basis classes; gamma_i is homologous to
-    alpha_i - alpha_{i+1}; boundary-encircling curves are null-homologous.
-    """
-    kind, _, idx = curve.partition("_")
-    i = int(idx)
     n = 2 * g
-    v = [0] * n
-    if kind == "alpha":
-        v[i - 1] = 1
-    elif kind == "beta":
-        v[g + i - 1] = 1
-    elif kind == "gamma":
-        v[i - 1] = 1
-        v[i] = -1
-    elif kind in ("delta", "epsilon"):
-        pass  # separating / boundary-parallel: zero class
-    else:
-        return None
-    return tuple(v)
+    curves = []
+    for i in range(g):
+        v = [0] * n
+        v[i] = 1
+        curves.append((f"alpha_{i + 1}", tuple(v)))
+    for i in range(g):
+        v = [0] * n
+        v[g + i] = 1
+        curves.append((f"beta_{i + 1}", tuple(v)))
+    for i in range(g - 1):
+        v = [0] * n
+        v[i] = 1
+        v[i + 1] = -1
+        curves.append((f"gamma_{i + 1}", tuple(v)))
+    for i in range(1, b_minus + 1):
+        curves.append((f"delta_{i}", (0,) * n))
+    for i in range(1, b_plus + 1):
+        curves.append((f"epsilon_{i}", (0,) * n))
+    return curves
 
 
 def _boundary_pair_generators(
@@ -224,13 +225,11 @@ def canonical_generator_set(
             )
         )
         if s.genus >= 1:
-            for curve in _curve_labels_orientable(s.genus, b_minus, b_plus):
+            for curve, cls in _configuration_curves(s.genus, b_minus, b_plus):
                 flag = Admissible.YES
                 if target is Target.CIRCLE and curve == "beta_1":
                     flag = Admissible.NO
-                out.append(
-                    _twist(curve, flag, _curve_class_orientable(curve, s.genus))
-                )
+                out.append(_twist(curve, flag, cls))
         out.extend(
             _boundary_pair_generators(
                 s.boundary, eps, minimal_has_extrema=minimal_has_extrema
@@ -249,7 +248,7 @@ def canonical_generator_set(
         out.append(_twist("beta_0", Admissible.YES))
     elif g >= 3:
         r = (g - 1) // 2 if g % 2 else (g - 2) // 2
-        for curve in _curve_labels_orientable(r, b_minus, b_plus):
+        for curve, _ in _configuration_curves(r, b_minus, b_plus):
             out.append(_twist(curve, Admissible.YES))
         if g % 2 == 0:
             out.append(_twist("beta_0", Admissible.YES))
@@ -276,29 +275,28 @@ def canonical_generator_set(
 # Stabilizer factorisation for maps to the circle
 
 
-def factor_stabilizer(h: SpMatrix, q: Sequence[int]) -> Word:
+def factor_stabilizer(
+    h: SpMatrix, q: Sequence[int]
+) -> tuple[Word, SpMatrix | None]:
     """Express a homology action fixing the level-set class in allowed twists.
 
-    Requires gcd(q) = 1 and the level-set class equal to the first basis
-    vector (conjugate by ``symplectic_completion`` first otherwise).  The
-    word avoids Tb(1), Eta(1,*) and Nu(*,1); its evaluation equals ``h``
-    exactly, so the residual h * word^-1 is the identity on homology and any
-    geometric realisation differs by a homologically invisible mapping
-    class.
+    Checks that ``q`` has length 2g, that it is primitive (gcd 1) and that
+    ``h`` fixes the level-set class L of ``q``, in that order.  Returns
+    ``(word, C)``.  When L is the first basis vector e0, C is None and the
+    word factors ``h`` itself; otherwise C = ``symplectic_completion(L)``,
+    a symplectic matrix with C e0 = L, and the word factors C^-1 h C, which
+    fixes e0.  Either way the word is built so that C * word * C^-1 = h
+    (with C = I when None) and avoids Tb(1), Eta(1,*) and Nu(*,1), so the
+    residual is the identity on homology and any geometric realisation
+    differs by a homologically invisible mapping class.
     """
     q = [int(x) for x in q]
-    g = h.g
-    if len(q) != 2 * g:
-        raise ValueError("q must have length 2g")
+    L = level_set_class(q, h.g).vector
     if math.gcd(*q) != 1:
         raise ValueError("q must be primitive (gcd 1)")
-    L = level_set_class(q, g).vector
     if h.apply(L) != L:
         raise ValueError("matrix does not fix the level-set class")
-    e0 = tuple(1 if r == 0 else 0 for r in range(2 * g))
-    if L != e0:
-        raise ValueError(
-            "level-set class must be the first basis vector; conjugate by "
-            "symplectic_completion(level_set_class(q)) first"
-        )
-    return stabilizer_decompose(h)
+    if L == (1,) + (0,) * (len(L) - 1):
+        return stabilizer_decompose(h), None
+    change = symplectic_completion(L)
+    return stabilizer_decompose(change.inverse() * h * change), change

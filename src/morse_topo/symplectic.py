@@ -9,9 +9,8 @@ modulo anything.
 Besides plain transvections the module provides the five named generator
 families Ta(i), Tb(i), Mu(i,j), Eta(i,j), Nu(i,j), word evaluation, and two
 factorisation routines: ``general_sp_factor`` (symplectic Gaussian
-elimination over a chosen index range) and ``stabilizer_decompose`` (words
-for elements fixing the first basis vector, avoiding Tb(1), Eta(1,*) and
-Nu(*,1)).
+elimination) and ``stabilizer_decompose`` (words for elements fixing the
+first basis vector, avoiding Tb(1), Eta(1,*) and Nu(*,1)).
 """
 from __future__ import annotations
 
@@ -604,31 +603,16 @@ def _factor(rows: list[list[int]], offset: int) -> list[GenPower]:
     return head
 
 
-def general_sp_factor(h: SpMatrix, first_index: int = 2) -> Word:
-    """Factor a symplectic matrix into named generators over a shifted index set.
+def general_sp_factor(h: SpMatrix) -> Word:
+    """Factor a symplectic matrix into named generators.
 
-    ``h`` is the matrix of a symplectic automorphism of the sub-lattice
-    spanned by the basis pairs ``first_index .. first_index + g(h) - 1`` of
-    some ambient lattice; the returned word uses exactly those indices and
-    evaluates (in the sub-lattice coordinates) to ``h``.
+    The returned word evaluates to ``h``; that is checked before it is
+    returned.
     """
-    if first_index < 1:
-        raise ValueError("first_index must be at least 1")
     if not h.is_symplectic():
         raise ValueError("matrix is not symplectic")
-    word = _normalize(_factor([list(row) for row in h.rows], first_index - 1))
-    return _embed_check(word, h, first_index)
-
-
-def _embed_check(word: Word, h: SpMatrix, first_index: int) -> Word:
-    shifted = tuple(
-        p._replace(
-            i=p.i - (first_index - 1),
-            j=None if p.j is None else p.j - (first_index - 1),
-        )
-        for p in word
-    )
-    if evaluate(shifted, h.g) != h:
+    word = _normalize(_factor([list(row) for row in h.rows], 0))
+    if evaluate(word, h.g) != h:
         raise AssertionError("factorisation does not evaluate to the input matrix")
     return word
 

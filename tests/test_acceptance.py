@@ -15,7 +15,6 @@ from morse_topo.canonical import (
     SEAM_UPPER,
     canonical_kr_graph,
     _cut_surface,
-    _line_canonical,
 )
 from morse_topo.classify import (
     is_minimal,
@@ -335,7 +334,7 @@ def test_criterion_7_canonical_fixed_point():
             cut_eps = dict(k.eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
-            expected = _line_canonical(_cut_surface(surface), cut_eps, k.c0, k.c2)
+            expected = canonical_kr_graph(_cut_surface(surface), cut_eps, k.c0, k.c2)
             assert kr_isomorphic(piece_to_line_graph(piece), expected)
             checked += 1
             cut_checked += 1

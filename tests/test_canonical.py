@@ -13,7 +13,6 @@ from morse_topo.canonical import (
     InfeasibleTypeError,
     canonical_kr_graph,
     _cut_surface,
-    _line_canonical,
 )
 from morse_topo.krgraph import (
     PieceClass,
@@ -157,7 +156,7 @@ def test_circle_cut_recovers_line_form():
             cut_eps = dict(eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
-            expected = _line_canonical(cut, cut_eps, c0, c2)
+            expected = canonical_kr_graph(cut, cut_eps, c0, c2)
             assert kr_isomorphic(piece_to_line_graph(piece), expected)
 
 

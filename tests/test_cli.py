@@ -451,6 +451,9 @@ ERROR_CONTRACT = {
         ["factor", "--q=1,0", "--matrix", "{d}/a.sp"], {"a.sp": "SP 1\n1 1\n0 1\n"},
         "domain: matrix does not fix the level-set class",
     ),
+    "factor-not-primitive": (["factor", "--q=2,0,0,0", "--matrix", "{d}/a.sp"],
+                             {"a.sp": "SP 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"},
+                             "domain: q must be primitive (gcd 1)"),
     "generators-descriptor": (["generators", "--surface", "orientable:2"], {},
                               "format: descriptor needs a g=<genus> part: 'orientable:2'"),
     "generators-boundary": (["generators", "--genus", "1", "--boundary", "V"], {},

@@ -17,6 +17,7 @@ from morse_topo.mcg import (
 )
 from morse_topo.surface import Surface, Target
 from morse_topo.symplectic import (
+    SpMatrix,
     evaluate,
     gen,
     omega_product,
@@ -178,6 +179,14 @@ def test_generators_circle_unsupported_cases():
         canonical_generator_set(Surface(True, 0), {}, Target.CIRCLE)
 
 
+def forbidden(p):
+    return (
+        (p.name == "Tb" and p.i == 1)
+        or (p.name == "Eta" and 1 in (p.i, p.j))
+        or (p.name == "Nu" and p.j == 1)
+    )
+
+
 def test_factor_stabilizer_round_trip():
     rng = random.Random(SEED + 11)
     g = 3
@@ -190,41 +199,74 @@ def test_factor_stabilizer_round_trip():
         for j in range(1, g + 1):
             if i != j and j != 1:
                 pool.append(("Nu", i, j))
-    forbidden = lambda p: (
-        (p.name == "Tb" and p.i == 1)
-        or (p.name == "Eta" and 1 in (p.i, p.j))
-        or (p.name == "Nu" and p.j == 1)
-    )
     for _ in range(40):
         word = tuple(
             gen(*rng.choice(pool), exp=rng.choice([-2, -1, 1, 2]))
             for _ in range(rng.randint(0, 12))
         )
         h = evaluate(word, g)
-        out = factor_stabilizer(h, q)
+        out, change = factor_stabilizer(h, q)
+        assert change is None
         assert evaluate(out, g) == h
         assert not any(forbidden(p) for p in out)
+
+
+def random_word(rng, g, allowed_only):
+    """Up to 12 letters over every named generator at genus g, without the
+    forbidden ones when ``allowed_only``."""
+    word = []
+    for _ in range(rng.randint(0, 12)):
+        name, i, j = rng.choice(["Ta", "Tb", "Mu", "Eta", "Nu"]), rng.randint(1, g), None
+        if name not in ("Ta", "Tb"):
+            if g == 1:
+                continue
+            j = rng.choice([x for x in range(1, g + 1) if x != i])
+        p = gen(name, i, j, rng.choice([-2, -1, 1, 2]))
+        if not (allowed_only and forbidden(p)):
+            word.append(p)
+    return tuple(word)
+
+
+def test_factor_stabilizer_conjugates_the_level_set_class():
+    # h = P h0 P^-1 fixes L = P e0 when h0 fixes e0; q is read back from L
+    # (L = (q_b, -q_a)), so it is primitive.  Even cases keep L = e0 by
+    # drawing P from the stabilizer too.
+    rng = random.Random(SEED + 12)
+    seen = {True: 0, False: 0}
+    for case in range(120):
+        g = rng.randint(1, 4)
+        e0 = (1,) + (0,) * (2 * g - 1)
+        p = evaluate(random_word(rng, g, allowed_only=case % 2 == 0), g)
+        h = p * evaluate(random_word(rng, g, allowed_only=True), g) * p.inverse()
+        L = p.column(0)
+        q = [-x for x in L[g:]] + list(L[:g])
+        assert level_set_class(q, g).vector == L
+        word, change = factor_stabilizer(h, q)
+        assert (change is None) == (L == e0)
+        c = SpMatrix.identity(g) if change is None else change
+        assert c * evaluate(word, g) * c.inverse() == h
+        assert not any(forbidden(x) for x in word)
+        seen[L == e0] += 1
+    assert seen[True] > 20 and seen[False] > 20
 
 
 def test_factor_stabilizer_examples_and_errors():
     g = 2
     q = [0, 0, 1, 0]
-    from morse_topo.symplectic import SpMatrix
-
-    assert factor_stabilizer(SpMatrix.identity(g), q) == ()
+    assert factor_stabilizer(SpMatrix.identity(g), q) == ((), None)
     h = transvection([1, 0, 0, 0])
-    assert factor_stabilizer(h, q) == (gen("Ta", 1),)
-    with pytest.raises(ValueError):
+    assert factor_stabilizer(h, q) == ((gen("Ta", 1),), None)
+    with pytest.raises(ValueError, match="does not fix"):
         factor_stabilizer(transvection([0, 0, 1, 0]), q)  # moves the class
-    with pytest.raises(ValueError):
-        factor_stabilizer(SpMatrix.identity(2), [2, 0, 0, 0])  # not primitive
-    # primitive class away from alpha_1: caller must conjugate
+    with pytest.raises(ValueError, match="primitive"):
+        factor_stabilizer(SpMatrix.identity(2), [2, 0, 0, 0])
+    with pytest.raises(ValueError, match="length"):
+        factor_stabilizer(SpMatrix.identity(2), [0, 1])
+    # primitive class away from alpha_1: conjugated by its completion
     q2 = [1, 1, 0, 0]
-    with pytest.raises(ValueError, match="conjugate"):
-        factor_stabilizer(SpMatrix.identity(2), q2)
     L = level_set_class(q2, 2).vector
-    change = symplectic_completion(L)
     h = transvection(L)
-    conj = change.inverse() * h * change
-    word = stabilizer_decompose(conj)
+    word, change = factor_stabilizer(h, q2)
+    assert change == symplectic_completion(L)
+    assert word == stabilizer_decompose(change.inverse() * h * change)
     assert change * evaluate(word, 2) * change.inverse() == h

@@ -281,7 +281,7 @@ def pinned_outputs(workdir):
     for g in (4, 8, 10, 13):
         h = evaluate(bench_style_word(g, 20 * g, random.Random(f"pinned:{g}")), g)
         texts[f"sp-decompose g={g}"] = format_word(stabilizer_decompose(h))
-    # factor at g=6 on a matrix fixing L = P e0 != e0, so the CLI conjugates
+    # factor at g=6 on a matrix fixing L = P e0 != e0, so factor conjugates
     g = 6
     h0 = evaluate(bench_style_word(g, 20 * g, random.Random("pinned:factor")), g)
     p = evaluate((gen("Tb", 1, exp=2), gen("Nu", 3, 1), gen("Eta", 1, 5, exp=-1)), g)
@@ -294,6 +294,17 @@ def pinned_outputs(workdir):
     with contextlib.redirect_stdout(out):
         code = cli.main(["factor", "--q=" + ",".join(map(str, q)), "--matrix", path])
     texts["factor g=6"] = f"{code}\n{out.getvalue()}"
+    # factor at g=7 on a stabilizer element with L = e0: no conjugation
+    g = 7
+    h = evaluate(bench_style_word(g, 20 * g, random.Random("pinned:factor-e0")), g)
+    path = os.path.join(workdir, "factor-e0.sp")
+    with open(path, "w") as fh:
+        fh.write(format_matrix(h))
+    q = [1 if i == g else 0 for i in range(2 * g)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["factor", "--q=" + ",".join(map(str, q)), "--matrix", path])
+    texts["factor g=7 L=e0"] = f"{code}\n{out.getvalue()}"
     return texts
 
 
@@ -305,6 +316,8 @@ PINNED_DIGESTS = {
     "sp-decompose g=10": "8324ad13847f52aa65fea8f8fdd3b32c3f1647506a374b31baf62cf892f4ef75",
     "sp-decompose g=13": "d8585e216cb383aa3bdad4955de52e4fe6215828bfdc9f598aa1467fdc39090f",
     "factor g=6": "a86950f07b6caf3941f6f745584ffb07532b425566a4e3c88aadc209a8d1ede7",
+    # recorded before factor_stabilizer took over the conjugation
+    "factor g=7 L=e0": "acf6786cc8d48aa8aa9ae054cc8ce73093595d44456b9b15f04293091a97c382",
 }
 
 
@@ -339,7 +352,7 @@ def test_general_sp_factor_round_trip():
     for _ in range(120):
         g = rng.randint(1, 4)
         h = evaluate(random_general_word(rng, g), g)
-        word = general_sp_factor(h, first_index=1)
+        word = general_sp_factor(h)
         assert evaluate(word, g) == h
 
 
@@ -407,17 +420,14 @@ def test_size_reduce_contract(case):
         assert applied == (after < before)
 
 
-def test_general_sp_factor_shifted_indices():
+def test_general_sp_factor_examples():
     assert general_sp_factor(SpMatrix.identity(2)) == ()
-    h = named_generator("Tb", 1, g=2)  # sub-block of genus 2 at indices {2,3}
-    word = general_sp_factor(h)
-    assert word == (gen("Tb", 2),)
-    assert all(p.i >= 2 and (p.j is None or p.j >= 2) for p in word)
+    assert general_sp_factor(named_generator("Tb", 1, g=2)) == (gen("Tb", 1),)
 
 
 def test_general_sp_factor_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        general_sp_factor(SpMatrix([[2, 0], [0, 2]]), first_index=1)
+        general_sp_factor(SpMatrix([[2, 0], [0, 2]]))
 
 
 def test_symplectic_completion():
