@@ -29,7 +29,10 @@ class SpMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
         n = len(rows)
         if n == 0 or n % 2 != 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square of even size")
@@ -121,12 +124,20 @@ def omega_product(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
 
 
+def _int_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """The entries of ``v``, which must be integers, not merely numbers."""
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ValueError("vector entries must be integers") from None
+
+
 def transvection(gamma: Sequence[int]) -> SpMatrix:
     """Matrix of x -> form(gamma, x) * gamma + x.
 
     Always symplectic; the inverse flips the sign of the form coefficient.
     """
-    gamma = [int(x) for x in gamma]
+    gamma = _int_vector(gamma)
     if len(gamma) % 2 != 0 or not gamma:
         raise ValueError("vector length must be even and positive")
     n = len(gamma)
@@ -246,16 +257,6 @@ def word_inverse(word: Sequence[GenPower]) -> Word:
     return tuple(GenPower(p.name, p.i, p.j, -p.exp) for p in reversed(word))
 
 
-def _undo_ops(ops: Sequence[GenPower]) -> Word:
-    """Word for the inverse of a stack of left-applied operations.
-
-    Applying ops G1, G2, ..., Gm on the left realises the product
-    Gm * ... * G1, whose inverse reads G1^-1 * ... * Gm^-1, i.e. the ops in
-    their original order with negated exponents.
-    """
-    return tuple(GenPower(p.name, p.i, p.j, -p.exp) for p in ops)
-
-
 def _transpose_power(p: GenPower) -> GenPower:
     """The generator power whose matrix is the transpose of that of ``p``."""
     if p.name == "Nu":
@@ -330,7 +331,7 @@ def format_matrix(m: SpMatrix) -> str:
 
 def parse_matrix(text: str) -> SpMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("SP"):
+    if not lines or lines[0].split()[0] != "SP":
         raise FormatError("matrix text must start with an 'SP <g>' header")
     try:
         g = int(lines[0].split()[1])
@@ -379,9 +380,13 @@ def _euclid_pair(read, move_a, move_b):
 class _Eliminator:
     """Row-operation state for symplectic Gaussian elimination.
 
-    Left-multiplies an integer matrix by generator powers, recording them.
-    Indices are local (1-based within the current block); ``offset`` shifts
-    them to the caller's numbering on emission.
+    Left-multiplies an integer matrix by generator powers and records each
+    one inverted, with its exponent negated, in ``ops``.  Applying G1, ...,
+    Gm realises Gm * ... * G1, whose inverse reads G1^-1 * ... * Gm^-1, so
+    ``ops`` in its own order is the word of the inverse: the matrix before
+    the moves equals ``evaluate(ops) * rows``.  Indices are local (1-based
+    within the current block); ``offset`` shifts them to the caller's
+    numbering on emission.
     """
 
     def __init__(self, rows: list[list[int]], offset: int):
@@ -397,7 +402,7 @@ class _Eliminator:
         _left_apply(p, self.rows, self.g)
         off = self.offset
         self.ops.append(
-            GenPower(p.name, p.i + off, None if p.j is None else p.j + off, p.exp)
+            GenPower(p.name, p.i + off, None if p.j is None else p.j + off, -p.exp)
         )
 
     # -- size reduction: keep the working block short ----------------------
@@ -405,10 +410,12 @@ class _Eliminator:
     def size_reduce(self) -> Word:
         """Shorten the rows and columns with greedy generator moves.
 
-        Sweeps alternate between the rows (left moves, recorded in ``ops``)
-        and the columns (left moves on the transpose) until a column sweep
-        changes nothing.  Returns the word W of the column moves, so that
-        the block before the call equals ``_undo_ops(ops) * rows * W``.
+        Sweeps alternate between the rows (left moves, recorded inverted in
+        ``ops``) and the columns (left moves on the transpose) until a column
+        sweep changes nothing.  A column move G on the left of the transpose
+        is G^T on the right of the block, so the transposed inverted letters
+        of the column sweeps, reversed, are the word W with which the block
+        before the call equals ``evaluate(ops) * rows * W``.
         Without this step the entries of each residual block grow with
         every level of the elimination (intermediate swell), and a sweep
         over the rows alone stalls where all rows are about equally long.
@@ -418,7 +425,7 @@ class _Eliminator:
             self._sweep()
             cols = _Eliminator([list(c) for c in zip(*self.rows)], self.offset)
             if not cols._sweep():
-                return word_inverse(right)
+                return right[::-1]
             self.rows[:] = [list(r) for r in zip(*cols.rows)]
             right += map(_transpose_power, cols.ops)
 
@@ -426,19 +433,22 @@ class _Eliminator:
         """Greedily lower the summed squared norm of the rows.
 
         Works on one table: row x is the block's row x followed by row x of
-        the Gram matrix G = rows * rows^T.  A move I + tN adds t*v*row[c] to
-        row[r] for each entry (r, c, v) of N, and never reads a row it
-        writes, so the squared norms of the rows it changes sum to
-        A t^2 + 2 B t + const with A = sum G[c][c] and B = sum v G[r][c].
-        The nearest integer to -B/A is applied only when it strictly lowers
-        the norm, so the sweep over all named generators terminates; it is
-        repeated until a pass changes nothing.  An applied move updates each
-        row r it changes, block and Gram part at once, with one pass over
-        its table row, then adds t*v times Gram column c to Gram column r.
-        The moves come with their nilpotent parts from ``_sweep_moves`` and
-        are recorded in ``ops`` without going through ``apply``.  The block
-        rows are copied back out of the table at the end.  Returns whether
-        any move was applied.
+        the Gram matrix G = rows * rows^T, and a zero row is appended.  A
+        move I + tN adds t*v*row[c] to row[r] for each entry (r, c, v) of N,
+        and never reads a row it writes, so the squared norms of the rows it
+        changes sum to A t^2 + 2 B t + const with A = sum G[c][c] and
+        B = sum v G[r][c].  The block is 2g x 2g, so ``_sweep_moves(g)``
+        holds the table positions of each move's one or two entries, and A
+        and B take two reads each; a move with one entry reads the zero row
+        as its second.  The nearest integer t to -B/A (t = 0 exactly when
+        -A < 2B <= A) is applied only when it strictly lowers the norm, so
+        the sweep over all named generators terminates; it is repeated
+        until a pass changes nothing.  An applied move adds t*v times row c
+        to row r, block and Gram part at once, then t*v times Gram column c
+        to Gram column r entry by entry, adding or subtracting without a
+        product when t*v = +-1.  Its letter goes into ``ops`` inverted, with
+        exponent -t.  The block rows are copied back out of the table at the
+        end.  Returns whether any move was applied.
         """
         rows = self.rows
         if sum(x * x for row in rows for x in row) == len(rows):
@@ -449,24 +459,25 @@ class _Eliminator:
             [sum(map(operator.mul, ra, rb)) for rb in rows[: x + 1]]
             for x, ra in enumerate(rows)
         ]
-        n, w = len(rows), len(rows[0])
+        n = len(rows)
         table = [
             rows[x] + low[x] + [low[y][x] for y in range(x + 1, n)] for x in range(n)
         ]
+        table.append([0] * (2 * n))
         ops, off = self.ops, self.offset
         applied = False
         changed = True
         while changed:
             changed = False
-            for (name, i, j), nil in _sweep_moves(self.g):
-                a = b = 0
-                for r, c, v in nil:
-                    a += table[c][w + c]
-                    b += v * table[r][w + c]
-                t = (a - 2 * b) // (2 * a)
-                if t == 0 or t * (a * t + 2 * b) >= 0:
+            for name, i, j, c1, d1, r1, s1, c2, d2, r2, s2, nil in _sweep_moves(self.g):
+                a = table[c1][d1] + table[c2][d2]
+                b2 = 2 * (s1 * table[r1][d1] + s2 * table[r2][d2])
+                if -a < b2 <= a:
                     continue
-                ops.append(GenPower(name, i + off, None if j is None else j + off, t))
+                t = (a - b2) // (2 * a)
+                if t * (a * t + b2) >= 0:
+                    continue
+                ops.append(GenPower(name, i + off, None if j is None else j + off, -t))
                 for r, c, v in nil:
                     tv = t * v
                     # t * v = +-1 for nearly every move: add or subtract rows
@@ -477,12 +488,19 @@ class _Eliminator:
                     else:
                         table[r] = [x + tv * y for x, y in zip(table[r], table[c])]
                 for r, c, v in nil:
-                    tv, gr, gc = t * v, w + r, w + c
-                    for row in table:
-                        row[gr] += tv * row[gc]
+                    tv, gr, gc = t * v, n + r, n + c
+                    if tv == 1:
+                        for row in table:
+                            row[gr] += row[gc]
+                    elif tv == -1:
+                        for row in table:
+                            row[gr] -= row[gc]
+                    else:
+                        for row in table:
+                            row[gr] += tv * row[gc]
                 changed = applied = True
         if applied:
-            rows[:] = [row[:w] for row in table]
+            rows[:] = [row[:n] for row in table[:n]]
         return applied
 
     # -- column stage: drive column 0 to the first basis vector ------------
@@ -546,13 +564,20 @@ class _Eliminator:
 
 @functools.lru_cache(maxsize=64)
 def _sweep_moves(g: int) -> tuple:
-    """Every named generator at genus g with its nilpotent part, in sweep order.
+    """Every named generator at genus g, in sweep order, with the table
+    positions ``_Eliminator._sweep`` reads and writes for it.
 
-    Cached: each level sweeps its rows and its columns at least once
-    each with the same list, and factorisations at one genus share it.
-    Every move is built through ``gen``, so it is checked once per genus;
-    ``_Eliminator._sweep`` then records its powers without ``gen``.
+    A move is (name, i, j, c1, d1, r1, s1, c2, d2, r2, s2, nil): ``nil``
+    holds the (r, c, v) entries of its nilpotent part, entry k is
+    (rk, ck, sk), and dk = 2g + ck is the Gram column of ck in the sweep's
+    table.  A move with one entry (Ta, Tb) takes the table's zero row,
+    index 2g, as its second.  Cached: each level sweeps its rows and its
+    columns at least once each with the same moves, and factorisations at
+    one genus share them.  Every move is built through ``gen``, so it is
+    checked once per genus; ``_Eliminator._sweep`` then records its powers
+    without ``gen``.
     """
+    n = 2 * g
     moves = []
     for i in range(1, g + 1):
         moves += [("Ta", i, None), ("Tb", i, None)]
@@ -561,7 +586,14 @@ def _sweep_moves(g: int) -> tuple:
                 moves.append(("Nu", i, j))
             if j > i:
                 moves += [("Mu", i, j), ("Eta", i, j)]
-    return tuple((m, tuple(_nilpotent_part(gen(*m), g))) for m in moves)
+    table = []
+    for m in moves:
+        nil = tuple(_nilpotent_part(gen(*m), g))
+        reads = [(c, n + c, r, v) for r, c, v in nil]
+        if len(reads) == 1:
+            reads.append((n, n, n, 1))
+        table.append(m + reads[0] + reads[1] + (nil,))
+    return tuple(table)
 
 
 def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:
@@ -595,7 +627,7 @@ def _factor(rows: list[list[int]], offset: int) -> list[GenPower]:
         tails.append(elim.size_reduce())
         elim.reduce_first_column()
         elim.fix_first_beta()
-        head += _undo_ops(elim.ops)
+        head += elim.ops
         rows = _strip_first_pair(rows)
         offset += 1
     for tail in reversed(tails):
@@ -617,9 +649,6 @@ def general_sp_factor(h: SpMatrix) -> Word:
     return word
 
 
-FORBIDDEN_NOTE = "Tb(1), Eta(1,*) and Nu(*,1) are never used"
-
-
 def stabilizer_decompose(h: SpMatrix) -> Word:
     """Word for a symplectic matrix fixing the first basis vector.
 
@@ -638,7 +667,7 @@ def stabilizer_decompose(h: SpMatrix) -> Word:
     elim = _Eliminator(rows, 0)
     elim.fix_first_beta()
     rest = _factor(_strip_first_pair(rows), 1)
-    word = _normalize(_undo_ops(elim.ops) + tuple(rest))
+    word = _normalize(elim.ops + rest)
     if any(_is_forbidden(p) for p in word):
         raise AssertionError("stabilizer word uses a forbidden generator")
     return word
@@ -661,7 +690,7 @@ def symplectic_completion(v: Sequence[int]) -> SpMatrix:
     inverting the recorded moves, so the result is symplectic by
     construction.
     """
-    v = [int(x) for x in v]
+    v = _int_vector(v)
     if len(v) % 2 != 0 or not v:
         raise ValueError("vector length must be even and positive")
     if math.gcd(*v) != 1:
@@ -669,7 +698,7 @@ def symplectic_completion(v: Sequence[int]) -> SpMatrix:
     g = len(v) // 2
     elim = _Eliminator([[x] for x in v], offset=0)
     elim.reduce_first_column()
-    completion = evaluate(_undo_ops(elim.ops), g)
-    if completion.column(0) != tuple(v):
+    completion = evaluate(elim.ops, g)
+    if completion.column(0) != v:
         raise AssertionError("completion does not have the requested first column")
     return completion

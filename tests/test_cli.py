@@ -425,6 +425,8 @@ ERROR_CONTRACT = {
                              "domain: requested extrema force a negative saddle count (-1)"),
     "sp-io": (["sp-decompose", "{d}/none.sp"], {},
               "io: cannot read {d}/none.sp: No such file or directory"),
+    "sp-header": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SPQR 1\n1 0\n0 1\n"},
+                  "format: matrix text must start with an 'SP <g>' header"),
     "sp-zero": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 0\n"},
                 "format: 'SP <g>' header needs g >= 1, got 0"),
     "sp-negative": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP -1\n"},

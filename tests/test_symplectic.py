@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import operator
 import os
 import random
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -13,7 +15,7 @@ from morse_topo.symplectic import (
     GenPower,
     SpMatrix,
     _Eliminator,
-    _undo_ops,
+    _nilpotent_part,
     evaluate,
     format_matrix,
     format_word,
@@ -357,9 +359,9 @@ def test_general_sp_factor_round_trip():
 
 
 @st.composite
-def general_blocks(draw):
-    """A matrix of Sp(2g, Z), 2 <= g <= 8, from a word over all generators."""
-    g = draw(st.integers(2, 8))
+def general_blocks(draw, min_g=2):
+    """A matrix of Sp(2g, Z), min_g <= g <= 8, from a word over all generators."""
+    g = draw(st.integers(min_g, 8))
     letters = draw(
         st.lists(
             st.tuples(
@@ -397,7 +399,7 @@ STALLING_WORD = (
 @example((8, evaluate(parse_word(STALLING_WORD), 8)))
 @settings(deadline=None, max_examples=80)
 def test_size_reduce_contract(case):
-    # size_reduce promises block == evaluate(_undo_ops(ops)) * rows * W, and
+    # size_reduce promises block == evaluate(ops) * rows * W, and
     # each _sweep (on the rows or on the transpose) applies a move only
     # when it strictly lowers the summed squared norm
     g, block = case
@@ -413,11 +415,132 @@ def test_size_reduce_contract(case):
     elim = _Eliminator([list(row) for row in block.rows], 0)
     with mock.patch.object(_Eliminator, "_sweep", recorded_sweep):
         right = elim.size_reduce()
-    assert evaluate(_undo_ops(elim.ops), g) * SpMatrix(elim.rows) * evaluate(right, g) == block
+    assert evaluate(elim.ops, g) * SpMatrix(elim.rows) * evaluate(right, g) == block
     assert sweeps
     for before, applied, after in sweeps:
         assert after <= before
         assert applied == (after < before)
+
+
+def reference_sweep_moves(g):
+    """Every named generator at genus g with its nilpotent part, in the
+    order ``_Eliminator._sweep`` tries them."""
+    moves = []
+    for i in range(1, g + 1):
+        moves += [("Ta", i, None), ("Tb", i, None)]
+        for j in range(1, g + 1):
+            if j != i:
+                moves.append(("Nu", i, j))
+            if j > i:
+                moves += [("Mu", i, j), ("Eta", i, j)]
+    return tuple((m, tuple(_nilpotent_part(gen(*m), g))) for m in moves)
+
+
+def reference_sweep(self):
+    """Oracle for ``_Eliminator._sweep``: the same greedy sweep with an
+    inner loop over each move's nilpotent entries, recording each letter
+    with its exponent t (not inverted)."""
+    rows = self.rows
+    if sum(x * x for row in rows for x in row) == len(rows):
+        return False
+    low = [
+        [sum(map(operator.mul, ra, rb)) for rb in rows[: x + 1]]
+        for x, ra in enumerate(rows)
+    ]
+    n, w = len(rows), len(rows[0])
+    table = [
+        rows[x] + low[x] + [low[y][x] for y in range(x + 1, n)] for x in range(n)
+    ]
+    ops, off = self.ops, self.offset
+    applied = False
+    changed = True
+    while changed:
+        changed = False
+        for (name, i, j), nil in reference_sweep_moves(self.g):
+            a = b = 0
+            for r, c, v in nil:
+                a += table[c][w + c]
+                b += v * table[r][w + c]
+            t = (a - 2 * b) // (2 * a)
+            if t == 0 or t * (a * t + 2 * b) >= 0:
+                continue
+            ops.append(GenPower(name, i + off, None if j is None else j + off, t))
+            for r, c, v in nil:
+                tv = t * v
+                if tv == 1:
+                    table[r] = list(map(operator.add, table[r], table[c]))
+                elif tv == -1:
+                    table[r] = list(map(operator.sub, table[r], table[c]))
+                else:
+                    table[r] = [x + tv * y for x, y in zip(table[r], table[c])]
+            for r, c, v in nil:
+                tv, gr, gc = t * v, w + r, w + c
+                for row in table:
+                    row[gr] += tv * row[gc]
+            changed = applied = True
+    if applied:
+        rows[:] = [row[:w] for row in table]
+    return applied
+
+
+class BoundedList(list):
+    """A list that refuses to grow past ``limit`` items."""
+
+    def __init__(self, items, limit):
+        super().__init__(items)
+        self.limit = limit
+
+    def append(self, item):
+        if len(self) >= self.limit:
+            raise AssertionError("the sweep applied more moves than the reference")
+        super().append(item)
+
+
+def sweeps_checked_against_reference(run):
+    """Call ``run()`` with every ``_Eliminator._sweep`` checked against
+    ``reference_sweep`` on a copy of its block: the same result, the same
+    rows, and each letter the same but for its negated exponent.  Returns
+    the letters the reference recorded."""
+    kernel = _Eliminator._sweep
+    letters = []
+
+    def checked_sweep(self):
+        ref = _Eliminator([list(row) for row in self.rows], self.offset)
+        expected = reference_sweep(ref)
+        ops, start = self.ops, len(self.ops)
+        # a wrong kernel may apply norm-raising moves without end: stop it
+        # at the first letter beyond those the reference recorded
+        self.ops = BoundedList(ops, start + len(ref.ops))
+        try:
+            applied = kernel(self)
+        finally:
+            ops[start:] = self.ops[start:]
+            self.ops = ops
+        assert applied == expected
+        assert self.rows == ref.rows
+        assert self.ops[start:] == [p._replace(exp=-p.exp) for p in ref.ops]
+        letters.extend(ref.ops)
+        return applied
+
+    with mock.patch.object(_Eliminator, "_sweep", checked_sweep):
+        run()
+    return letters
+
+
+@given(general_blocks(min_g=1))
+@example((8, evaluate(parse_word(STALLING_WORD), 8)))
+@settings(deadline=None, max_examples=80)
+def test_sweep_matches_reference(case):
+    _, block = case
+    sweeps_checked_against_reference(lambda: general_sp_factor(block))
+
+
+def test_sweep_matches_reference_at_genus_13():
+    g = 13
+    h = evaluate(bench_style_word(g, 20 * g, random.Random("oracle:13")), g)
+    letters = sweeps_checked_against_reference(lambda: stabilizer_decompose(h))
+    assert any(abs(p.exp) > 1 for p in letters)
+    assert any(p.name in ("Ta", "Tb") for p in letters)
 
 
 def test_general_sp_factor_examples():
@@ -428,6 +551,17 @@ def test_general_sp_factor_examples():
 def test_general_sp_factor_rejects_non_symplectic():
     with pytest.raises(ValueError):
         general_sp_factor(SpMatrix([[2, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize("entry", [1.7, Fraction(3, 2)])
+def test_non_integer_entries_are_rejected(entry):
+    # int() would truncate 1.7 to 1 and accept the identity
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        SpMatrix([[entry, 0], [0, 1]])
+    with pytest.raises(ValueError, match="vector entries must be integers"):
+        transvection([entry, 0])
+    with pytest.raises(ValueError, match="vector entries must be integers"):
+        symplectic_completion([entry, 1])
 
 
 def test_symplectic_completion():
