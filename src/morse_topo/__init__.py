@@ -78,7 +78,6 @@ from .symplectic import (
 )
 from .mcg import (
     Admissible,
-    CurveClass,
     GeneratorKind,
     MCGGenerator,
     canonical_generator_set,

@@ -34,6 +34,7 @@ from .surface import (
     CriticalType,
     Surface,
     Target,
+    _int_vector,
     euler_characteristic,
     validate_critical_type,
 )
@@ -62,7 +63,7 @@ def canonical_kr_graph(
         if target is Target.CIRCLE:
             raise ValueError("circle targets need an explicit homotopy vector q")
         q = (0,) * s.homology_rank
-    q = tuple(int(x) for x in q)
+    c0, c2 = _int_vector((c0, c2), "critical point counts")
     c1 = c0 + c2 - euler_characteristic(s)
     k = CriticalType(target, q, c0, max(c1, 0), c2, dict(eps))
     problems = validate_critical_type(s, k)
@@ -75,7 +76,7 @@ def canonical_kr_graph(
     if target is Target.LINE:
         line = _line_canonical(s, eps, c0, c2)
         return KRGraph(Target.LINE, line.vertices, line.edges)
-    return _circle_canonical(s, eps, c0, c2, q)
+    return _circle_canonical(s, eps, c0, c2, k.q)
 
 
 class _Builder:

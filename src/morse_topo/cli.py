@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import logging
 import sys
 
 from . import canonical, classify, krgraph, mcg, mesh, surface, symplectic
-from .surface import FormatError, Surface, Target
+from .surface import FormatError, Surface, Target, _json_line
 
 
 class DomainError(Exception):
@@ -41,11 +40,6 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DomainError("io", f"cannot read {path}: {exc.strerror}") from None
-
-
-# one encoder for every line: ``json.dumps`` with ``separators`` builds a
-# new one per call
-_json_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:

@@ -235,7 +235,7 @@ def critical_type_of(graph: KRGraph, s: Surface, q: Sequence[int]) -> CriticalTy
         for v in graph.vertices.values()
         if v.kind is VertexKind.BOUNDARY
     }
-    k = CriticalType(graph.target, tuple(int(x) for x in q), c0, c1, c2, eps)
+    k = CriticalType(graph.target, q, c0, c1, c2, eps)
     problems = validate_critical_type(s, k)
     if problems:
         raise ValueError("; ".join(problems))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .surface import Surface, Target
+from .surface import Surface, Target, _int_vector
 from .symplectic import (
     SpMatrix,
     Word,
@@ -25,53 +25,33 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Integer homology class of an (oriented) simple closed curve."""
-
-    vector: tuple[int, ...]
-    orientation_free: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
-        if len(self.vector) % 2 != 0:
-            raise ValueError("curve class vector must have even length")
-
-
-def _vec(gamma: CurveClass | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(gamma, CurveClass):
-        return gamma.vector
-    return tuple(int(x) for x in gamma)
-
-
-def level_set_class(q: Sequence[int], g: int) -> CurveClass:
+def level_set_class(q: Sequence[int], g: int) -> tuple[int, ...]:
     """Homology class of a regular level set of a map with cohomology vector q.
 
     It is the unique class L with form(L, c) = q . c for every class c;
     concretely L = Omega q (the beta-part of q becomes the alpha-part of L
     and the alpha-part flips sign).
     """
-    q = [int(x) for x in q]
+    q = _int_vector(q)
     if len(q) != 2 * g:
         raise ValueError("q must have length 2g")
-    return CurveClass(tuple(q[g:]) + tuple(-x for x in q[:g]))
+    return q[g:] + tuple(-x for x in q[:g])
 
 
-def degree_along(q: Sequence[int], gamma: CurveClass | Sequence[int]) -> int:
+def degree_along(q: Sequence[int], gamma: Sequence[int]) -> int:
     """Winding degree of the map along a curve: form(L, gamma) = q . gamma."""
-    gv = _vec(gamma)
-    q = [int(x) for x in q]
-    if len(q) != len(gv):
+    q, gamma = _int_vector(q), _int_vector(gamma)
+    if len(q) != len(gamma):
         raise ValueError("q and gamma must have the same length")
-    return sum(a * b for a, b in zip(q, gv))
+    return sum(a * b for a, b in zip(q, gamma))
 
 
-def twist_action(gamma: CurveClass | Sequence[int]) -> SpMatrix:
+def twist_action(gamma: Sequence[int]) -> SpMatrix:
     """Action of the Dehn twist along gamma on homology: a transvection."""
-    return transvection(_vec(gamma))
+    return transvection(gamma)
 
 
-def twist_admissible(q: Sequence[int], gamma: CurveClass | Sequence[int]) -> bool:
+def twist_admissible(q: Sequence[int], gamma: Sequence[int]) -> bool:
     """Whether the twist along gamma preserves the map up to deformation.
 
     The homological criterion: the map restricted to gamma must be
@@ -290,9 +270,8 @@ def factor_stabilizer(
     residual is the identity on homology and any geometric realisation
     differs by a homologically invisible mapping class.
     """
-    q = [int(x) for x in q]
-    L = level_set_class(q, h.g).vector
-    if math.gcd(*q) != 1:
+    L = level_set_class(q, h.g)
+    if math.gcd(*L) != 1:  # L is q with its halves swapped and one negated
         raise ValueError("q must be primitive (gcd 1)")
     if h.apply(L) != L:
         raise ValueError("matrix does not fix the level-set class")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
-from .surface import CriticalType, FormatError, Surface, Target, validate_critical_type
+from .surface import CriticalType, FormatError, Surface, Target, _int_vector, validate_critical_type
 
 
 class MeshFormatError(FormatError):
@@ -64,16 +64,11 @@ class HeightMesh:
             or set(map(type, tris)) - {tuple}
             or set(map(type, chain.from_iterable(tris))) - {int}
         ):
-            object.__setattr__(
-                self, "triangles", tuple(tuple(int(v) for v in t) for t in tris)
-            )
+            object.__setattr__(self, "triangles", tuple(map(_int_vector, tris)))
         object.__setattr__(
             self,
             "boundary_cycles",
-            tuple(
-                (str(label), tuple(int(v) for v in cyc))
-                for label, cyc in self.boundary_cycles
-            ),
+            tuple((str(label), _int_vector(cyc)) for label, cyc in self.boundary_cycles),
         )
         object.__setattr__(self, "_keys", _height_keys(self.heights))
         object.__setattr__(self, "_links", _check_mesh(self))

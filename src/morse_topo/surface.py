@@ -10,12 +10,25 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class FormatError(ValueError):
     """Input text that does not parse; any other ValueError is a domain error."""
+
+
+def _int_vector(v: Iterable[int], what: str = "vector entries") -> tuple[int, ...]:
+    """The entries of ``v``, which must be integers: a float, fraction,
+    numeric string or boolean is a ValueError, never truncated or read."""
+    v = tuple(v)
+    if bool not in map(type, v):
+        try:
+            return tuple(map(operator.index, v))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers")
 
 
 class Target(enum.Enum):
@@ -34,6 +47,8 @@ class Surface:
     boundary: tuple[str, ...] = ()
 
     def __post_init__(self):
+        (genus,) = _int_vector((self.genus,), "genus")
+        object.__setattr__(self, "genus", genus)
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if not self.orientable and self.genus < 1:
@@ -66,10 +81,11 @@ def euler_characteristic(s: Surface) -> int:
 
 
 def _check_signs(eps: Mapping[str, int]) -> dict[str, int]:
-    for label, sign in eps.items():
+    signs = dict(zip(eps, _int_vector(eps.values(), "boundary signs")))
+    for label, sign in signs.items():
         if sign not in (1, -1):
             raise ValueError(f"boundary sign for {label!r} must be +1 or -1")
-    return dict(eps)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,10 @@ class CriticalType:
     eps: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(x) for x in self.q))
+        object.__setattr__(self, "q", _int_vector(self.q, "q entries"))
+        counts = _int_vector((self.c0, self.c1, self.c2), "critical point counts")
+        for name, count in zip(("c0", "c1", "c2"), counts):
+            object.__setattr__(self, name, count)
         object.__setattr__(self, "eps", _check_signs(self.eps))
         if min(self.c0, self.c1, self.c2) < 0:
             raise ValueError("critical point counts must be non-negative")
@@ -153,6 +172,11 @@ def flip_target_orientation(k: CriticalType) -> CriticalType:
     )
 
 
+# one encoder for every line: ``json.dumps`` with ``separators`` builds a
+# new one per call
+_json_line = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def critical_type_to_json(k: CriticalType) -> str:
     """Single-line JSON with keys target, q, c0, c1, c2, eps (eps sorted by label)."""
     payload = {
@@ -163,7 +187,7 @@ def critical_type_to_json(k: CriticalType) -> str:
         "c2": k.c2,
         "eps": {label: k.eps[label] for label in sorted(k.eps)},
     }
-    return json.dumps(payload, separators=(",", ":"))
+    return _json_line(payload)
 
 
 def critical_type_from_json(text: str) -> CriticalType:
@@ -181,11 +205,11 @@ def critical_type_from_json(text: str) -> CriticalType:
         target = Target(payload["target"])
         return CriticalType(
             target=target,
-            q=tuple(int(x) for x in payload["q"]),
-            c0=int(payload["c0"]),
-            c1=int(payload["c1"]),
-            c2=int(payload["c2"]),
-            eps={str(l): int(v) for l, v in payload["eps"].items()},
+            q=payload["q"],
+            c0=payload["c0"],
+            c1=payload["c1"],
+            c2=payload["c2"],
+            eps=payload["eps"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(Infinity)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"invalid critical-type JSON: {exc}") from None

@@ -20,7 +20,7 @@ import operator
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .surface import FormatError
+from .surface import FormatError, _int_vector
 
 
 class SpMatrix:
@@ -124,14 +124,6 @@ def omega_product(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
 
 
-def _int_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """The entries of ``v``, which must be integers, not merely numbers."""
-    try:
-        return tuple(map(operator.index, v))
-    except TypeError:
-        raise ValueError("vector entries must be integers") from None
-
-
 def transvection(gamma: Sequence[int]) -> SpMatrix:
     """Matrix of x -> form(gamma, x) * gamma + x.
 
@@ -174,21 +166,30 @@ Word = tuple[GenPower, ...]
 
 def gen(name: str, i: int, j: int | None = None, exp: int = 1) -> GenPower:
     """Build a normalized generator power (Mu/Eta indices sorted, exp != 0)."""
-    if name in _SINGLE:
-        if j is not None:
-            raise ValueError(f"{name} takes a single index")
-    elif name in _DOUBLE:
-        if j is None or i == j:
-            raise ValueError(f"{name} takes two distinct indices")
-        if name in _SYMMETRIC and i > j:
-            i, j = j, i
-    else:
-        raise ValueError(f"unknown generator name {name!r}")
-    if i < 1 or (j is not None and j < 1):
-        raise ValueError("generator indices start at 1")
+    i, exp = _int_vector((i, exp), "generator indices and exponents")
+    if j is not None:
+        (j,) = _int_vector((j,), "generator indices and exponents")
+    _check_letter(GenPower(name, i, j, exp))
     if exp == 0:
         raise ValueError("generator exponent must be non-zero")
-    return GenPower(name, i, j, int(exp))
+    if name in _SYMMETRIC and i > j:
+        i, j = j, i
+    return GenPower(name, i, j, exp)
+
+
+def _check_letter(p: GenPower, g: int | None = None):
+    """Reject a letter that names no generator, or none at genus ``g``."""
+    if p.name in _SINGLE and p.j is None:
+        indices = (p.i,)
+    elif p.name in _DOUBLE and p.j not in (None, p.i):
+        indices = (p.i, p.j)
+    else:
+        indices = ()
+    if not indices or min(indices) < 1:
+        idx = p.i if p.j is None else f"{p.i},{p.j}"
+        raise ValueError(f"{p.name}{idx} is not a generator letter")
+    if g is not None and max(indices) > g:
+        raise ValueError(f"generator index {max(indices)} exceeds genus {g}")
 
 
 def _nilpotent_part(p: GenPower, g: int) -> list[tuple[int, int, int]]:
@@ -214,23 +215,6 @@ def named_generator(name: str, i: int, j: int | None = None, *, g: int) -> SpMat
     return evaluate((gen(name, i, j),), g)
 
 
-def _check_indices(word: Iterable[GenPower], g: int):
-    """Reject a letter that names no generator at genus g."""
-    for p in word:
-        if p.name in _SINGLE and p.j is None:
-            indices = (p.i,)
-        elif p.name in _DOUBLE and p.j not in (None, p.i):
-            indices = (p.i, p.j)
-        else:
-            indices = ()
-        if not indices or min(indices) < 1:
-            idx = p.i if p.j is None else f"{p.i},{p.j}"
-            raise ValueError(f"{p.name}{idx} is not a generator letter")
-        top = max(indices)
-        if top > g:
-            raise ValueError(f"generator index {top} exceeds genus {g}")
-
-
 def _left_apply(p: GenPower, rows: list[list[int]], g: int):
     """rows <- (I + t N) * rows, the power t = ``p.exp`` of the generator
     I + N (N^2 = 0), as a sparse row operation.
@@ -245,7 +229,8 @@ def _left_apply(p: GenPower, rows: list[list[int]], g: int):
 
 def evaluate(word: Sequence[GenPower], g: int) -> SpMatrix:
     """Left-to-right product of the generator powers in ``word``."""
-    _check_indices(word, g)
+    for p in word:
+        _check_letter(p, g)
     rows = [[1 if r == c else 0 for c in range(2 * g)] for r in range(2 * g)]
     for p in reversed(word):
         _left_apply(p, rows, g)
@@ -315,8 +300,6 @@ def parse_word(text: str) -> Word:
         if not m:
             raise ValueError(f"bad generator token {token!r}")
         name, i, j, exp = m.groups()
-        if (name in _SINGLE) != (j is None):
-            raise ValueError(f"bad index count in token {token!r}")
         word.append(
             gen(name, int(i), int(j) if j else None, int(exp) if exp else 1)
         )
@@ -330,19 +313,20 @@ def format_matrix(m: SpMatrix) -> str:
 
 
 def parse_matrix(text: str) -> SpMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[0] != "SP":
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0][0] != "SP":
         raise FormatError("matrix text must start with an 'SP <g>' header")
     try:
-        g = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, g = lines[0]  # no more and no fewer fields
+        g = int(g)
+    except ValueError:
         raise FormatError("bad 'SP <g>' header") from None
     if g < 1:
         raise FormatError(f"'SP <g>' header needs g >= 1, got {g}")
     if len(lines) != 1 + 2 * g:
         raise FormatError(f"expected {2 * g} matrix rows, got {len(lines) - 1}")
     try:
-        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+        rows = [[int(x) for x in ln] for ln in lines[1:]]
     except ValueError:
         raise FormatError("matrix entries must be integers") from None
     if any(len(row) != 2 * g for row in rows):
@@ -398,12 +382,9 @@ class _Eliminator:
     def apply(self, name: str, i: int, j: int | None, exp: int):
         if exp == 0:
             return
-        p = gen(name, i, j, exp)
-        _left_apply(p, self.rows, self.g)
+        _left_apply(GenPower(name, i, j, exp), self.rows, self.g)
         off = self.offset
-        self.ops.append(
-            GenPower(p.name, p.i + off, None if p.j is None else p.j + off, -p.exp)
-        )
+        self.ops.append(GenPower(name, i + off, None if j is None else j + off, -exp))
 
     # -- size reduction: keep the working block short ----------------------
 

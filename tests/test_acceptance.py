@@ -357,7 +357,7 @@ def test_criterion_8_twist_admissibility_coherence():
             if d == 1:
                 break
         gamma = [rng.randint(-6, 6) for _ in range(2 * g)]
-        L = level_set_class(q, g).vector
+        L = level_set_class(q, g)
         fixes = twist_action(gamma).apply(L) == L
         assert twist_admissible(q, gamma) == fixes
     # the genus-one instance: the projection twist moves the class, the

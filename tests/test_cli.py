@@ -389,7 +389,27 @@ ERROR_CONTRACT = {
     "classify-infinity": (
         ["classify", "{d}/a.ktype", "{d}/b.ktype"],
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c0":1', '"c0":Infinity')},
-        "format: invalid critical-type JSON: cannot convert float infinity to integer",
+        "format: invalid critical-type JSON: critical point counts must be integers",
+    ),
+    "classify-float-count": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c0":1', '"c0":1.5')},
+        "format: invalid critical-type JSON: critical point counts must be integers",
+    ),
+    "classify-boolean-count": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c1":0', '"c1":false')},
+        "format: invalid critical-type JSON: critical point counts must be integers",
+    ),
+    "classify-string-q": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"q":[]', '"q":["1"]')},
+        "format: invalid critical-type JSON: q entries must be integers",
+    ),
+    "classify-float-sign": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"eps":{}', '"eps":{"a":1.0}')},
+        "format: invalid critical-type JSON: boundary signs must be integers",
     ),
     "classify-long-integer": (
         ["classify", "{d}/a.ktype", "{d}/b.ktype"],
@@ -427,6 +447,8 @@ ERROR_CONTRACT = {
               "io: cannot read {d}/none.sp: No such file or directory"),
     "sp-header": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SPQR 1\n1 0\n0 1\n"},
                   "format: matrix text must start with an 'SP <g>' header"),
+    "sp-header-extra": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1 junk\n1 0\n0 1\n"},
+                        "format: bad 'SP <g>' header"),
     "sp-zero": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 0\n"},
                 "format: 'SP <g>' header needs g >= 1, got 0"),
     "sp-negative": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP -1\n"},

@@ -1,0 +1,109 @@
+"""Checks over the whole package: how library inputs become integers, and
+which statements the source may use."""
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from morse_topo.canonical import canonical_kr_graph
+from morse_topo.krgraph import critical_type_of
+from morse_topo.mcg import (
+    degree_along,
+    factor_stabilizer,
+    level_set_class,
+    twist_action,
+    twist_admissible,
+)
+from morse_topo.mesh import HeightMesh
+from morse_topo.surface import CriticalType, Surface, Target
+from morse_topo.symplectic import SpMatrix, gen
+
+SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "morse_topo"
+
+TETRA_HEIGHTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+TETRA_TRIANGLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+TORUS = Surface(True, 1)
+
+# each takes one value where the library needs an integer
+INTAKE_SITES = {
+    "surface-genus": lambda x: Surface(True, x),
+    "ktype-q": lambda x: CriticalType(Target.LINE, (x,), 1, 0, 1),
+    "ktype-c0": lambda x: CriticalType(Target.LINE, (), x, 0, 1),
+    "ktype-c1": lambda x: CriticalType(Target.LINE, (), 1, x, 1),
+    "ktype-c2": lambda x: CriticalType(Target.LINE, (), 1, 0, x),
+    "ktype-sign": lambda x: CriticalType(Target.LINE, (), 1, 0, 1, {"a": x}),
+    "level-set-class": lambda x: level_set_class((x, 0), 1),
+    "degree-q": lambda x: degree_along((x, 0), (1, 0)),
+    "degree-gamma": lambda x: degree_along((0, 1), (x, 0)),
+    "twist-action": lambda x: twist_action((x, 0)),
+    "twist-admissible": lambda x: twist_admissible((0, 1), (x, 0)),
+    "factor-stabilizer": lambda x: factor_stabilizer(SpMatrix.identity(1), (0, x)),
+    "canonical-q": lambda x: canonical_kr_graph(TORUS, {}, 0, 0, (x, 1), Target.CIRCLE),
+    "canonical-c0": lambda x: canonical_kr_graph(TORUS, {}, x, 1),
+    "critical-type-of-q": lambda x: critical_type_of(
+        canonical_kr_graph(TORUS, {}, 1, 1), TORUS, (x, 0)
+    ),
+    "mesh-triangle": lambda x: HeightMesh(
+        True, TETRA_HEIGHTS, TETRA_TRIANGLES[:3] + ((1, 2, x),)
+    ),
+    "mesh-boundary-cycle": lambda x: HeightMesh(
+        True, TETRA_HEIGHTS, TETRA_TRIANGLES, (("rim", (0, x)),)
+    ),
+    "gen-i": lambda x: gen("Ta", x),
+    "gen-j": lambda x: gen("Nu", 1, x),
+    "gen-exp": lambda x: gen("Ta", 1, None, x),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), "3"], ids=["float", "fraction", "str"])
+@pytest.mark.parametrize("site", INTAKE_SITES.values(), ids=INTAKE_SITES.keys())
+def test_library_rejects_non_integers(site, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        site(value)
+
+
+def _modules():
+    for path in sorted(SOURCE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _int_calls(node, owner):
+    """Qualified name of the function around each ``int(...)`` call."""
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{owner}.{child.name}"
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "int"
+        ):
+            yield owner
+        yield from _int_calls(child, name)
+
+
+# the text parsers read integers from digits; every other integer comes
+# through the checked intake, which never truncates
+TEXT_PARSERS = {
+    "mesh.parse_hmesh",
+    "symplectic.parse_matrix",
+    "symplectic.parse_word",
+    "cli._parse_ints",
+}
+
+
+def test_only_text_parsers_call_int():
+    callers = {owner for module, tree in _modules() for owner in _int_calls(tree, module)}
+    assert callers - TEXT_PARSERS == set()
+
+
+def test_no_assert_statements():
+    # asserts vanish under ``python -O``; checks raise instead
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -152,10 +152,16 @@ KTYPE_DOCUMENTS = st.fixed_dictionaries(
 @given(st.text() | KTYPE_DOCUMENTS | JSON_VALUES.map(json.dumps))
 @example('{"target":"Line","q":[],"c0":Infinity,"c1":0,"c2":1,"eps":{}}')
 @example("[" + "1" * 5000 + "]")  # an integer too long to convert
+@example('{"target":"Line","q":[],"c0":1.0,"c1":false,"c2":1,"eps":{}}')
 @settings(max_examples=300)
 def test_any_text_gives_a_critical_type_or_a_format_error(text):
     try:
         k = critical_type_from_json(text)
     except FormatError:
         return
+    doc = json.loads(text)
+    # the same integers, not equal numbers of another type (1.0, true)
+    assert json.dumps([doc["q"], doc["c0"], doc["c1"], doc["c2"], doc["eps"]]) == json.dumps(
+        [list(k.q), k.c0, k.c1, k.c2, k.eps]
+    )
     assert critical_type_from_json(critical_type_to_json(k)) == k

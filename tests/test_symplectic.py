@@ -628,12 +628,15 @@ MATRIX_LIKE = st.builds(
 
 
 @given(st.text() | MATRIX_LIKE)
+@example("SP 1 2\n1 0\n0 1")
 @settings(max_examples=300)
 def test_any_text_gives_a_matrix_or_a_format_error(text):
     try:
         m = parse_matrix(text)
     except FormatError:
         return
+    header = next(ln for ln in text.splitlines() if ln.strip())
+    assert len(header.split()) == 2  # "SP <g>" and nothing after it
     assert parse_matrix(format_matrix(m)) == m
 
 
