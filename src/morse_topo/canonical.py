@@ -2,26 +2,27 @@
 
 The line-valued normal form is a vertical spine read bottom to top:
 
-* lower leaves: one boundary circle per negative sign (sorted by label),
-  then the requested minima;
+* lower leaves: one boundary circle per negative sign (sorted by label,
+  the lower seam first), then the requested minima;
 * a merge comb joining the lower leaves into one strand;
 * the genus: per handle a split/merge saddle pair enclosing two parallel
   edges (orientable), or one degree-two saddle per crosscap
   (non-orientable);
 * a split comb fanning out to the upper leaves: the requested maxima, then
-  one boundary circle per positive sign (sorted by label).
+  one boundary circle per positive sign (sorted by label, the upper seam
+  last).
 
 Heights are consecutive integers in creation order, so the graph is
 generic and rebuilding it reproduces identical output.
 
 The circle-valued normal form cuts the surface along one regular fiber,
 builds the line normal form of the cut surface with two extra boundary
-circles (the seam, labelled ``!B0`` below and ``~B1`` above so they sort
-to the extremes), rescales heights into (0, 1) and replaces the two seam
-circles by a single edge wrapping through level 0.  Level 0 is the
-defining cut value: cutting there returns the line normal form of the cut
-surface.  A critical-point-free request on the torus or Klein bottle
-degenerates to a single free loop of winding one.
+circles (the seam, labelled ``!B0`` below and ``~B1`` above, placed first
+and last by role whatever the other labels), rescales heights into (0, 1)
+and replaces the two seam circles by a single edge wrapping through level
+0.  Level 0 is the defining cut value: cutting there returns the line
+normal form of the cut surface.  A critical-point-free request on the
+torus or Klein bottle degenerates to a single free loop of winding one.
 """
 from __future__ import annotations
 
@@ -83,12 +84,10 @@ class _Builder:
     def __init__(self):
         self.vertices: list[KRVertex] = []
         self.edges: list[KREdge] = []
-        self.height = 0
 
     def vertex(self, kind: VertexKind, label: str | None = None) -> int:
-        self.height += 1
         vid = len(self.vertices)
-        self.vertices.append(KRVertex(vid, kind, Fraction(self.height), label))
+        self.vertices.append(KRVertex(vid, kind, Fraction(vid + 1), label))
         return vid
 
     def edge(self, tail: int, head: int):
@@ -98,9 +97,18 @@ class _Builder:
 def _line_canonical(
     s: Surface, eps: Mapping[str, int], c0: int, c2: int
 ) -> _Builder:
-    """Vertices and edges of the line normal form, not yet validated."""
-    neg = sorted(l for l in s.boundary if eps[l] < 0)
-    pos = sorted(l for l in s.boundary if eps[l] > 0)
+    """Vertices and edges of the line normal form, not yet validated.
+
+    The lower seam leads the negative leaves and the upper seam ends the
+    positive ones, whatever the other labels, so a seam circle is vertex 0
+    or the last vertex and its edge is the first or the last edge.
+    """
+    neg = sorted(
+        (l for l in s.boundary if eps[l] < 0), key=lambda l: (l != SEAM_LOWER, l)
+    )
+    pos = sorted(
+        (l for l in s.boundary if eps[l] > 0), key=lambda l: (l == SEAM_UPPER, l)
+    )
     m = c0 + len(neg)
     p = c2 + len(pos)
     if m == 0:
@@ -151,23 +159,19 @@ def _line_canonical(
 
 
 def _cut_surface(s: Surface) -> Surface:
-    """The surface obtained by cutting along one essential regular fiber."""
+    """The surface obtained by cutting along one essential regular fiber.
+
+    ``s`` must have positive homology rank (orientable genus >= 1 or
+    non-orientable genus >= 2); a primitive homotopy vector guarantees it.
+    """
     extra = (SEAM_LOWER, SEAM_UPPER)
     if any(l in extra for l in s.boundary):
         raise ValueError(f"boundary labels {extra} are reserved for the seam")
     if s.orientable:
-        if s.genus < 1:
-            raise InfeasibleTypeError(
-                "an essential circle-valued map needs genus >= 1"
-            )
         return Surface(True, s.genus - 1, s.boundary + extra)
     if s.genus == 2:
         return Surface(True, 0, s.boundary + extra)
-    if s.genus >= 3:
-        return Surface(False, s.genus - 2, s.boundary + extra)
-    raise InfeasibleTypeError(
-        "a non-orientable surface of genus 1 has no essential circle-valued map"
-    )
+    return Surface(False, s.genus - 2, s.boundary + extra)
 
 
 def _circle_canonical(
@@ -185,35 +189,25 @@ def _circle_canonical(
     cut_eps[SEAM_UPPER] = 1
     line = _line_canonical(cut, cut_eps, c0, c2)
 
-    scale = Fraction(1, len(line.vertices) + 1)
-    seam_low = seam_high = None
-    for v in line.vertices:
-        if v.boundary_label == SEAM_LOWER:
-            seam_low = v.id
-        elif v.boundary_label == SEAM_UPPER:
-            seam_high = v.id
-    lower_edge = next(e for e in line.edges if e.tail == seam_low)
-    upper_edge = next(e for e in line.edges if e.head == seam_high)
-
-    if lower_edge is upper_edge:
+    if len(line.edges) == 1:
         # nothing between the seams: the critical-point-free fibration
         return KRGraph(
             Target.CIRCLE, [], [KREdge(0, None, None, (Fraction(0), Fraction(1)))]
         )
 
+    # the seams are the first and last vertex, on the first and last edge
+    scale = Fraction(1, len(line.vertices) + 1)
     lift = [v.height * scale for v in line.vertices]  # by vertex id
     vertices = [
         KRVertex(v.id, v.kind, lift[v.id], v.boundary_label)
-        for v in line.vertices
-        if v.id not in (seam_low, seam_high)
+        for v in line.vertices[1:-1]
     ]
-    edges = []
-    for e in line.edges:
-        if e is lower_edge or e is upper_edge:
-            continue
-        edges.append(KREdge(len(edges), e.tail, e.head, (lift[e.tail], lift[e.head])))
+    edges = [
+        KREdge(i, e.tail, e.head, (lift[e.tail], lift[e.head]))
+        for i, e in enumerate(line.edges[1:-1])
+    ]
     # the wrap edge: from the top of the chain through level 0 to the bottom
-    tail = upper_edge.tail
-    head = lower_edge.head
+    tail = line.edges[-1].tail
+    head = line.edges[0].head
     edges.append(KREdge(len(edges), tail, head, (lift[tail], lift[head] + 1)))
     return KRGraph(Target.CIRCLE, vertices, edges)

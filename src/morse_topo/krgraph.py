@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 from .surface import CriticalType, Surface, Target, validate_critical_type
 
 
-# boundary labels of the two sides of a cut; they sort below and above
-# every other label, and cutting and gluing rely on both agreeing
+# boundary labels of the two sides of a cut; the circle normal form places
+# them first and last by role, and cutting and gluing rely on both agreeing
 SEAM_LOWER = "!B0"
 SEAM_UPPER = "~B1"
 
@@ -255,23 +255,17 @@ def _line_crossings(graph: KRGraph, c: Fraction) -> list[KREdge]:
     return out
 
 
-def _circle_crossings(graph: KRGraph, c: Fraction) -> list[tuple[KREdge, Fraction]]:
-    """(edge, lift point) pairs where the level c + Z meets an edge lift.
+def _level_range(e: KREdge, c: Fraction) -> range:
+    """The integers k for which the level c + k meets the edge's lift.
 
     Intervals are open at both ends for anchored edges and half-open
     [lo, hi) for the free loop, whose endpoints are an arbitrary base point
     rather than vertices.  Every caller runs ``_require_regular`` first,
     which rejects each level congruent to a vertex height and so to each
-    anchored lift end, so t == lo happens only on the free loop.
+    anchored lift end, so c + k == lo happens only on the free loop.
     """
-    out = []
-    for e in graph.edges:
-        lo, hi = e.lift
-        t = c + math.ceil(lo - c)  # smallest representative >= lo
-        while t < hi:
-            out.append((e, t))
-            t += 1
-    return out
+    lo, hi = e.lift
+    return range(math.ceil(lo - c), math.ceil(hi - c))
 
 
 def _require_regular(graph: KRGraph, c: Fraction):
@@ -290,7 +284,7 @@ def regular_fiber_components(graph: KRGraph, c) -> int:
     _require_regular(graph, c)
     if graph.target is Target.LINE:
         return len(_line_crossings(graph, c))
-    return len(_circle_crossings(graph, c))
+    return sum(len(_level_range(e, c)) for e in graph.edges)
 
 
 class PieceClass(enum.Enum):
@@ -354,19 +348,14 @@ def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
     if graph.target is not Target.CIRCLE:
         raise ValueError("cutting is defined for Circle-target graphs")
     c = Fraction(c)
-    _require_regular(graph, c)
-    crossings = _circle_crossings(graph, c)
-    if not crossings:
+    if not regular_fiber_components(graph, c):
         raise ValueError(f"level {c} crosses no edge; the cut is trivial")
 
-    cut_points: dict[int, list[Fraction]] = {}
-    for e, t in crossings:
-        cut_points.setdefault(e.id, []).append(t)
     # (lower vertex or None for a cut end, upper likewise, lo, hi)
     stretches: list[tuple[int | None, int | None, Fraction, Fraction]] = []
     for e in graph.edges:
         lo, hi = e.lift
-        marks = [lo, *cut_points.get(e.id, ()), hi]
+        marks = [lo, *(c + k for k in _level_range(e, c)), hi]
         ends = [e.tail] + [None] * (len(marks) - 2) + [e.head]
         run = list(zip(ends, ends[1:], marks, marks[1:]))
         if e.tail is None:

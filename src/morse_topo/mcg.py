@@ -32,7 +32,7 @@ def level_set_class(q: Sequence[int], g: int) -> tuple[int, ...]:
     concretely L = Omega q (the beta-part of q becomes the alpha-part of L
     and the alpha-part flips sign).
     """
-    q = _int_vector(q)
+    q, (g,) = _int_vector(q), _int_vector((g,), "genus")
     if len(q) != 2 * g:
         raise ValueError("q must have length 2g")
     return q[g:] + tuple(-x for x in q[:g])

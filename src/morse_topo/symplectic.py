@@ -29,10 +29,7 @@ class SpMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        try:
-            rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        except TypeError:
-            raise ValueError("matrix entries must be integers") from None
+        rows = tuple(_int_vector(row, "matrix entries") for row in rows)
         n = len(rows)
         if n == 0 or n % 2 != 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square of even size")
@@ -166,9 +163,6 @@ Word = tuple[GenPower, ...]
 
 def gen(name: str, i: int, j: int | None = None, exp: int = 1) -> GenPower:
     """Build a normalized generator power (Mu/Eta indices sorted, exp != 0)."""
-    i, exp = _int_vector((i, exp), "generator indices and exponents")
-    if j is not None:
-        (j,) = _int_vector((j,), "generator indices and exponents")
     _check_letter(GenPower(name, i, j, exp))
     if exp == 0:
         raise ValueError("generator exponent must be non-zero")
@@ -178,7 +172,10 @@ def gen(name: str, i: int, j: int | None = None, exp: int = 1) -> GenPower:
 
 
 def _check_letter(p: GenPower, g: int | None = None):
-    """Reject a letter that names no generator, or none at genus ``g``."""
+    """Reject a letter with a non-integer index or exponent, or one that
+    names no generator, or none at genus ``g``."""
+    ints = (p.i, p.exp) if p.j is None else p[1:]
+    _int_vector(ints, "generator indices and exponents")
     if p.name in _SINGLE and p.j is None:
         indices = (p.i,)
     elif p.name in _DOUBLE and p.j not in (None, p.i):

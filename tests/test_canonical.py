@@ -143,6 +143,9 @@ def test_circle_cut_recovers_line_form():
         else:
             continue
         cases.append((s, eps, q))
+    # labels that sort below the lower seam label or above the upper one
+    for label, sign in ((" x", -1), ("!A", -1), ("~C", 1), ("α", 1)):
+        cases.append((Surface(True, 1, (label,)), {label: sign}, (1, 0)))
     assert cases
     for s, eps, q in cases:
         for c0, c2 in ((0, 0), (1, 1), (2, 0)):

@@ -328,6 +328,13 @@ def test_surface_descriptor_form():
 
 GOOD_KTYPE = '{"target":"Line","q":[],"c0":1,"c1":0,"c2":1,"eps":{}}'
 IDENTITY = "SP 1\n1 0\n0 1\n"
+CYLINDER = format_hmesh(meshes.cylinder())
+# a hexagonal bipyramid; the cycle 1 5 3 joins equator vertices that share no edge
+BIPYRAMID = (
+    "HMESH orientable\nv 0 0\nv 7 3\n"
+    + "".join(f"v {i} {1 + i % 2}\nt 0 {i % 6 + 1} {i}\nt 7 {i} {i % 6 + 1}\n" for i in range(1, 7))
+    + "b ring 1 5 3\n"
+)
 
 # (argv, input files, expected stderr error); "{d}" is the input directory
 ERROR_CONTRACT = {
@@ -367,6 +374,19 @@ ERROR_CONTRACT = {
         "domain: boundary cycle 'rim' has no interior neighbours, so the height is "
         "constant near it",
     ),
+    "reeb-lonely-vertex": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": format_hmesh(meshes.tetrahedron()).replace("t 0", "v 4 9\nt 0", 1)},
+        "domain: every vertex must lie on a triangle",
+    ),
+    "reeb-vertex-on-two-cycles": (["reeb", "{d}/a.hmesh"], {"a.hmesh": CYLINDER + "b rim 0 1 2\n"},
+                                  "domain: vertex 0 lies on two boundary cycles"),
+    "reeb-shared-label": (
+        ["reeb", "{d}/a.hmesh"], {"a.hmesh": CYLINDER.replace("b top", "b bottom")},
+        "domain: boundary labels must be distinct",
+    ),
+    "reeb-boundary-not-edge": (["reeb", "{d}/a.hmesh"], {"a.hmesh": BIPYRAMID},
+                               "domain: boundary edge (3, 5) is not a mesh edge"),
     "classify-io": (["classify", "{d}/a.ktype", "{d}/none.ktype"], {"a.ktype": GOOD_KTYPE},
                     "io: cannot read {d}/none.ktype: No such file or directory"),
     "classify-json": (
@@ -411,6 +431,11 @@ ERROR_CONTRACT = {
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"eps":{}', '"eps":{"a":1.0}')},
         "format: invalid critical-type JSON: boundary signs must be integers",
     ),
+    "classify-sign-two": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"],
+        {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"eps":{}', '"eps":{"a":2}')},
+        "format: invalid critical-type JSON: boundary sign for 'a' must be +1 or -1",
+    ),
     "classify-long-integer": (
         ["classify", "{d}/a.ktype", "{d}/b.ktype"],
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace('"c0":1', '"c0":1' + "0" * 5000)},
@@ -437,6 +462,12 @@ ERROR_CONTRACT = {
     ),
     "canonical-q": (["canonical", "--genus", "1", "--q", "1,x", "--c0", "1", "--c2", "1"], {},
                     "format: bad integer vector '1,x'"),
+    "canonical-q-length": (
+        ["canonical", "--genus", "1", "--target", "circle", "--q", "1,0,0", "--c0", "1", "--c2", "1"],
+        {}, "domain: q must have length 2, got 3",
+    ),
+    "canonical-line-q": (["canonical", "--genus", "1", "--q", "1,0", "--c0", "1", "--c2", "1"], {},
+                         "domain: q must be the zero vector for a Line target"),
     "canonical-duplicate-label": (
         ["canonical", "--surface", "orientable:g=0:V1:+,V1:-", "--c0", "0", "--c2", "0"], {},
         "domain: boundary labels must be distinct",

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from morse_topo.krgraph import (
     regular_fiber_components,
     to_dot,
 )
+from morse_topo.mcg import canonical_generator_set
 from morse_topo.surface import Surface, Target
 
 
@@ -281,6 +283,72 @@ def test_free_loop_validation():
             [KRVertex(0, VertexKind.MIN, F(1, 2))],
             [KREdge(0, None, None, (F(0), F(1))), KREdge(1, 0, 0, (F(1, 2), F(3, 2)))],
         )
+
+
+LINE_PAIR = [KRVertex(0, VertexKind.MIN, F(0)), KRVertex(1, VertexKind.MAX, F(1))]
+CIRCLE_PAIR = [KRVertex(0, VertexKind.MIN, F(1, 4)), KRVertex(1, VertexKind.MAX, F(3, 4))]
+OUTSIDE_PAIR = [KRVertex(0, VertexKind.MIN, F(1, 4)), KRVertex(1, VertexKind.MAX, F(5, 4))]
+LABEL_PAIR = [
+    KRVertex(0, VertexKind.BOUNDARY, F(0), "a"),
+    KRVertex(1, VertexKind.BOUNDARY, F(1), "a"),
+]
+
+# library rejections the rest of the suite never reaches, with their messages
+REJECTIONS = {
+    "label-off-boundary": (
+        lambda: KRVertex(0, VertexKind.MIN, F(0), "a"),
+        "boundary label exactly on BoundaryCircle vertices",
+    ),
+    "duplicate-id": (
+        lambda: KRGraph(Target.LINE, LINE_PAIR[:1] * 2, []), "duplicate vertex id 0"
+    ),
+    "unknown-vertex": (
+        lambda: KRGraph(Target.LINE, LINE_PAIR, [KREdge(0, 0, 2)]),
+        "edge 0 references unknown vertices",
+    ),
+    "line-lift": (
+        lambda: KRGraph(Target.LINE, LINE_PAIR, [KREdge(0, 0, 1, (F(0), F(1)))]),
+        "Line-target edges carry no lift",
+    ),
+    "missing-lift": (
+        lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1)]),
+        "Circle-target edges need a lift interval",
+    ),
+    "decreasing-lift": (
+        lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1, (F(5, 4), F(3, 4)))]),
+        "edge 0 lift must be increasing",
+    ),
+    "lift-not-lifting": (
+        lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1, (F(1, 4), F(1, 2)))]),
+        "edge 0 lift endpoints must lift the vertex heights",
+    ),
+    "circle-height": (
+        lambda: KRGraph(Target.CIRCLE, OUTSIDE_PAIR, [KREdge(0, 0, 1, (F(1, 4), F(5, 4)))]),
+        "Circle-target heights live in [0, 1)",
+    ),
+    "duplicate-labels": (
+        lambda: KRGraph(Target.LINE, LABEL_PAIR, [KREdge(0, 0, 1)]),
+        "boundary labels must be distinct",
+    ),
+    "critical-type-labels": (
+        lambda: critical_type_of(sphere_graph(), Surface(True, 0, ("a",)), ()),
+        "graph boundary labels do not match the surface",
+    ),
+    "isomorphic-circle": (
+        lambda: kr_isomorphic(circle_theta(), circle_theta()),
+        "isomorphism comparison is for Line-target graphs",
+    ),
+    "generator-set-labels": (
+        lambda: canonical_generator_set(Surface(True, 1, ("a",)), {"b": 1}, Target.LINE),
+        "eps labels do not match surface boundary",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_library_rejections(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_canonical_circle_graphs_cross_every_level():

@@ -256,6 +256,14 @@ def test_hmesh_round_trip():
         assert again == m
 
 
+def test_hmesh_skips_blank_and_comment_lines():
+    for m in meshes.corpus().values():
+        lines = ["# a comment before the header", ""]
+        for line in format_hmesh(m).splitlines():
+            lines += [line, "   ", "  # a comment between records"]
+        assert parse_hmesh("\n".join(lines)) == m
+
+
 CORPUS_TEXTS = [format_hmesh(m) for _, m in sorted(meshes.corpus().items())]
 
 

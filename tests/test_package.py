@@ -17,7 +17,7 @@ from morse_topo.mcg import (
 )
 from morse_topo.mesh import HeightMesh
 from morse_topo.surface import CriticalType, Surface, Target
-from morse_topo.symplectic import SpMatrix, gen
+from morse_topo.symplectic import GenPower, SpMatrix, evaluate, gen
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "morse_topo"
 
@@ -34,6 +34,7 @@ INTAKE_SITES = {
     "ktype-c2": lambda x: CriticalType(Target.LINE, (), 1, 0, x),
     "ktype-sign": lambda x: CriticalType(Target.LINE, (), 1, 0, 1, {"a": x}),
     "level-set-class": lambda x: level_set_class((x, 0), 1),
+    "level-set-class-genus": lambda x: level_set_class((0, 1), x),
     "degree-q": lambda x: degree_along((x, 0), (1, 0)),
     "degree-gamma": lambda x: degree_along((0, 1), (x, 0)),
     "twist-action": lambda x: twist_action((x, 0)),
@@ -53,10 +54,16 @@ INTAKE_SITES = {
     "gen-i": lambda x: gen("Ta", x),
     "gen-j": lambda x: gen("Nu", 1, x),
     "gen-exp": lambda x: gen("Ta", 1, None, x),
+    "evaluate-i": lambda x: evaluate((GenPower("Ta", x, None, 1),), 1),
+    "evaluate-j": lambda x: evaluate((GenPower("Nu", 1, x, 1),), 2),
+    "evaluate-exp": lambda x: evaluate((GenPower("Ta", 1, None, x),), 1),
+    "sp-matrix": lambda x: SpMatrix([[x, 0], [0, 1]]),
 }
 
 
-@pytest.mark.parametrize("value", [1.5, Fraction(3, 2), "3"], ids=["float", "fraction", "str"])
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(3, 2), "3", True], ids=["float", "fraction", "str", "bool"]
+)
 @pytest.mark.parametrize("site", INTAKE_SITES.values(), ids=INTAKE_SITES.keys())
 def test_library_rejects_non_integers(site, value):
     with pytest.raises(ValueError, match="must be integers"):
