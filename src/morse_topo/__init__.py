@@ -24,7 +24,6 @@ from .surface import (
     validate_critical_type,
 )
 from .krgraph import (
-    CutDecomposition,
     KREdge,
     KRGraph,
     KRVertex,
@@ -33,7 +32,6 @@ from .krgraph import (
     critical_type_of,
     cut_at_level,
     kr_isomorphic,
-    piece_to_line_graph,
     regular_fiber_components,
     to_dot,
 )

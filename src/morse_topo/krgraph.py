@@ -246,15 +246,6 @@ def critical_type_of(graph: KRGraph, s: Surface, q: Sequence[int]) -> CriticalTy
 # Regular levels, fibers and cutting
 
 
-def _line_crossings(graph: KRGraph, c: Fraction) -> list[KREdge]:
-    out = []
-    for e in graph.edges:
-        lo, hi = graph._edge_endpoint_heights(e)
-        if lo < c < hi:
-            out.append(e)
-    return out
-
-
 def _level_range(e: KREdge, c: Fraction) -> range:
     """The integers k for which the level c + k meets the edge's lift.
 
@@ -283,7 +274,8 @@ def regular_fiber_components(graph: KRGraph, c) -> int:
     c = Fraction(c)
     _require_regular(graph, c)
     if graph.target is Target.LINE:
-        return len(_line_crossings(graph, c))
+        heights = map(graph._edge_endpoint_heights, graph.edges)
+        return sum(lo < c < hi for lo, hi in heights)
     return sum(len(_level_range(e, c)) for e in graph.edges)
 
 
@@ -294,47 +286,30 @@ class PieceClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CutEnd:
-    """A severed edge end: side 0 sits at the cut going up, side 1 coming down."""
-
-    side: int
-    lift: Fraction
-
-
-@dataclass(frozen=True)
-class PieceVertex:
-    id: int
-    kind: VertexKind
-    lift: Fraction
-    boundary_label: str | None = None
-
-
-@dataclass(frozen=True)
-class PieceEdge:
-    lower: int | CutEnd
-    upper: int | CutEnd
-
-
-@dataclass(frozen=True)
 class CutPiece:
-    vertices: tuple[PieceVertex, ...]
-    edges: tuple[PieceEdge, ...]
+    """One piece of a cut, as the Line-target graph of the cut map on it.
+
+    The piece's vertices keep their ids, at their lifts in [c, c + 1].
+    Each severed edge end becomes a boundary-circle vertex, a seam: one
+    labelled ``SEAM_LOWER`` sits at the lower copy of the level, where the
+    piece leaves it going up, and one labelled ``SEAM_UPPER`` at the upper
+    copy.  A side with more than one seam numbers them ``:0``, ``:1``, ...
+    Seam ids follow the largest vertex id, in edge order, lower end first.
+    The graph is validated once, when the piece is built, so a boundary
+    label of the cut graph that equals a seam label is refused there.
+    """
+
+    graph: KRGraph
     piece_class: PieceClass
 
 
-@dataclass(frozen=True)
-class CutDecomposition:
-    level: Fraction
-    pieces: tuple[CutPiece, ...]
-
-
-def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
+def cut_at_level(graph: KRGraph, c) -> tuple[CutPiece, ...]:
     """Sever every edge crossing the level c + Z and classify the pieces.
 
-    Each crossing produces a side-1 attachment on the stretch below it and
-    a side-0 attachment on the stretch above it.  Pieces are the connected
-    components of what remains, and every lift is given in the band
-    [c, c + 1].
+    Each crossing produces an upper seam on the stretch below it and a
+    lower seam on the stretch above it.  Pieces are the connected
+    components of what remains, ordered by their smallest vertex id, and
+    every height is given in the band [c, c + 1].
 
     A stretch runs between consecutive cut points or vertex ends of one
     edge, so it lies inside one band [c + k, c + k + 1] with
@@ -343,7 +318,9 @@ def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
     inside the band of every stretch that meets it, and the same formula
     applied to its height gives the one lift all those stretches agree on.
     A free loop's two stretches either side of its base point join into
-    one, which stays last in the loop's list.
+    one, which stays last in the loop's list.  Every piece has a seam: the
+    graph is connected, so a piece without one would hold every edge,
+    including the ones the level crosses.
     """
     if graph.target is not Target.CIRCLE:
         raise ValueError("cutting is defined for Circle-target graphs")
@@ -391,79 +368,37 @@ def cut_at_level(graph: KRGraph, c) -> CutDecomposition:
                         seen.add(nxt)
                         stack.append(nxt)
                         members.append(stretches[nxt])
-        pieces.append(_assemble_piece(graph, members, vids, c))
-    pieces.sort(key=lambda p: (sorted(v.id for v in p.vertices), p.piece_class.value))
-    return CutDecomposition(c, tuple(pieces))
-
-
-def _assemble_piece(
-    graph: KRGraph,
-    stretches: list[tuple[int | None, int | None, Fraction, Fraction]],
-    vids: set[int],
-    c: Fraction,
-) -> CutPiece:
-    """The piece made of ``stretches``, whose vertices are ``vids``.
-
-    Every piece has a cut end: the graph is connected, so a piece without
-    one would hold every edge, including the ones the level crosses.
-    """
-    edges = [
-        PieceEdge(
-            CutEnd(0, lo) if lower is None else lower,
-            CutEnd(1, hi) if upper is None else upper,
-        )
-        for lower, upper, lo, hi in stretches
-    ]
-    has0 = any(lower is None for lower, _, _, _ in stretches)
-    has1 = any(upper is None for _, upper, _, _ in stretches)
-    if has0 and has1:
-        cls = PieceClass.Q01
-    else:
-        cls = PieceClass.Q0 if has0 else PieceClass.Q1
-    pvs = []
-    for vid in sorted(vids):
-        v = graph.vertices[vid]
-        lift = v.height - math.floor(v.height - c)
-        pvs.append(PieceVertex(vid, v.kind, lift, v.boundary_label))
-    return CutPiece(tuple(pvs), tuple(edges), cls)
-
-
-def piece_to_line_graph(piece: CutPiece) -> KRGraph:
-    """View a cut piece as a Line-target graph.
-
-    Attachment points become boundary-circle vertices labelled
-    ``SEAM_LOWER`` (side 0) and ``SEAM_UPPER`` (side 1); multiple
-    attachments on a side get a numeric suffix.  Heights are the lifts, so
-    the vertical order of the piece is preserved.
-    """
-    vertices = [
-        KRVertex(v.id, v.kind, v.lift, v.boundary_label) for v in piece.vertices
-    ]
-    next_id = max((v.id for v in piece.vertices), default=-1) + 1
-    counters = {0: 0, 1: 0}
-    totals = {0: 0, 1: 0}
-    for e in piece.edges:
-        for end in (e.lower, e.upper):
-            if isinstance(end, CutEnd):
-                totals[end.side] += 1
-    edges = []
-    for eid, e in enumerate(piece.edges):
-        ends = []
-        for end in (e.lower, e.upper):
-            if isinstance(end, CutEnd):
-                base = SEAM_LOWER if end.side == 0 else SEAM_UPPER
-                n = counters[end.side]
-                counters[end.side] += 1
-                label = base if totals[end.side] == 1 else f"{base}:{n}"
-                vertices.append(
-                    KRVertex(next_id, VertexKind.BOUNDARY, end.lift, label)
-                )
-                ends.append(next_id)
-                next_id += 1
-            else:
-                ends.append(end)
-        edges.append(KREdge(eid, ends[0], ends[1]))
-    return KRGraph(Target.LINE, vertices, edges)
+        vertices = []
+        for vid in sorted(vids):
+            v = graph.vertices[vid]
+            lift = v.height - math.floor(v.height - c)
+            vertices.append(KRVertex(vid, v.kind, lift, v.boundary_label))
+        # the seam labels of each side, numbered when it has more than one
+        sides = [sum(s[i] is None for s in members) for i in (0, 1)]
+        labels = [
+            iter([base] if n == 1 else [f"{base}:{i}" for i in range(n)])
+            for base, n in zip((SEAM_LOWER, SEAM_UPPER), sides)
+        ]
+        next_id = max(vids, default=-1) + 1
+        edges = []
+        for lower, upper, lo, hi in members:
+            ends = [lower, upper]
+            for side, lift in enumerate((lo, hi)):
+                if ends[side] is None:
+                    ends[side] = next_id
+                    label = next(labels[side])
+                    vertices.append(KRVertex(next_id, VertexKind.BOUNDARY, lift, label))
+                    next_id += 1
+            edges.append(KREdge(len(edges), *ends))
+        if all(sides):
+            cls = PieceClass.Q01
+        else:
+            cls = PieceClass.Q0 if sides[0] else PieceClass.Q1
+        pieces.append(CutPiece(KRGraph(Target.LINE, vertices, edges), cls))
+    # pieces share no vertex; the vertexless pieces of a free loop, whose
+    # seams all start at id 0, keep their stretch order
+    pieces.sort(key=lambda p: min(p.graph.vertices))
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,8 @@ def parse_hmesh(text: str) -> HeightMesh:
         parts = line.split()
         try:
             if parts[0] == "HMESH":
+                if orientable is not None:
+                    raise MeshFormatError(f"line {lineno}: duplicate HMESH header")
                 if len(parts) != 2 or parts[1] not in ("orientable", "nonorientable"):
                     raise MeshFormatError("header must be 'HMESH orientable|nonorientable'")
                 orientable = parts[1] == "orientable"

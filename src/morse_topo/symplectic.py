@@ -163,7 +163,7 @@ Word = tuple[GenPower, ...]
 
 def gen(name: str, i: int, j: int | None = None, exp: int = 1) -> GenPower:
     """Build a normalized generator power (Mu/Eta indices sorted, exp != 0)."""
-    _check_letter(GenPower(name, i, j, exp))
+    _check_word((GenPower(name, i, j, exp),))
     if exp == 0:
         raise ValueError("generator exponent must be non-zero")
     if name in _SYMMETRIC and i > j:
@@ -171,22 +171,26 @@ def gen(name: str, i: int, j: int | None = None, exp: int = 1) -> GenPower:
     return GenPower(name, i, j, exp)
 
 
-def _check_letter(p: GenPower, g: int | None = None):
-    """Reject a letter with a non-integer index or exponent, or one that
-    names no generator, or none at genus ``g``."""
-    ints = (p.i, p.exp) if p.j is None else p[1:]
-    _int_vector(ints, "generator indices and exponents")
-    if p.name in _SINGLE and p.j is None:
-        indices = (p.i,)
-    elif p.name in _DOUBLE and p.j not in (None, p.i):
-        indices = (p.i, p.j)
-    else:
-        indices = ()
-    if not indices or min(indices) < 1:
-        idx = p.i if p.j is None else f"{p.i},{p.j}"
-        raise ValueError(f"{p.name}{idx} is not a generator letter")
-    if g is not None and max(indices) > g:
-        raise ValueError(f"generator index {max(indices)} exceeds genus {g}")
+def _check_word(word: Sequence[GenPower], g: int | None = None):
+    """Reject a word with a non-integer index or exponent, checked in one
+    intake call, or with a letter that names no generator, or none at
+    genus ``g``."""
+    _int_vector(
+        [x for p in word for x in ((p.i, p.exp) if p.j is None else p[1:])],
+        "generator indices and exponents",
+    )
+    for p in word:
+        if p.name in _SINGLE and p.j is None:
+            indices = (p.i,)
+        elif p.name in _DOUBLE and p.j not in (None, p.i):
+            indices = (p.i, p.j)
+        else:
+            indices = ()
+        if not indices or min(indices) < 1:
+            idx = p.i if p.j is None else f"{p.i},{p.j}"
+            raise ValueError(f"{p.name}{idx} is not a generator letter")
+        if g is not None and max(indices) > g:
+            raise ValueError(f"generator index {max(indices)} exceeds genus {g}")
 
 
 def _nilpotent_part(p: GenPower, g: int) -> list[tuple[int, int, int]]:
@@ -226,8 +230,7 @@ def _left_apply(p: GenPower, rows: list[list[int]], g: int):
 
 def evaluate(word: Sequence[GenPower], g: int) -> SpMatrix:
     """Left-to-right product of the generator powers in ``word``."""
-    for p in word:
-        _check_letter(p, g)
+    _check_word(word, g)
     rows = [[1 if r == c else 0 for c in range(2 * g)] for r in range(2 * g)]
     for p in reversed(word):
         _left_apply(p, rows, g)
@@ -333,29 +336,6 @@ def parse_matrix(text: str) -> SpMatrix:
 
 # ---------------------------------------------------------------------------
 # Factorisation
-
-
-def _euclid_pair(read, move_a, move_b):
-    """Drive the pair (a, b) read by ``read`` to (d, 0) with gcd moves.
-
-    ``move_a(t)`` must add t*b to a, ``move_b(t)`` must subtract t*a from b.
-    Returns nothing; the moves are expected to record themselves.
-    """
-    a, b = read()
-    while b != 0:
-        if a == 0:
-            move_a(1)
-            a, b = read()
-        q = b // a
-        if q != 0:
-            move_b(q)
-        a, b = read()
-        if b == 0:
-            break
-        q = a // b
-        if q != 0:
-            move_a(-q)
-        a, b = read()
 
 
 class _Eliminator:
@@ -483,26 +463,33 @@ class _Eliminator:
 
     # -- column stage: drive column 0 to the first basis vector ------------
 
+    def _euclid(self, x: int, y: int, up: tuple, down: tuple):
+        """Drive column 0's entries (a, b) in rows x and y to (d, 0) with
+        gcd moves.
+
+        ``up`` = (name, i, j) is the letter whose power t adds t*b to a;
+        ``down`` = (name, i, j, sign) names the letter whose power sign*t
+        subtracts t*a from b.
+        """
+        rows = self.rows
+        name, i, j, sign = down
+        while rows[y][0]:
+            if not rows[x][0]:
+                self.apply(*up, 1)
+            self.apply(name, i, j, sign * (rows[y][0] // rows[x][0]))
+            if rows[y][0]:
+                self.apply(*up, -(rows[x][0] // rows[y][0]))
+
     def reduce_first_column(self):
         g = self.g
-        col = 0
-
         # gcd within each (a_i, b_i) coordinate pair
         for i in range(g):
-            _euclid_pair(
-                lambda i=i: (self.rows[i][col], self.rows[g + i][col]),
-                lambda t, i=i: self.apply("Ta", i + 1, None, t),
-                lambda t, i=i: self.apply("Tb", i + 1, None, t),
-            )
+            self._euclid(i, g + i, ("Ta", i + 1, None), ("Tb", i + 1, None, 1))
         # merge every a_j (j >= 2) into a_1; the b-entries are all zero now,
         # so Nu moves touch nothing else in this column
         for j in range(1, g):
-            _euclid_pair(
-                lambda j=j: (self.rows[0][col], self.rows[j][col]),
-                lambda t, j=j: self.apply("Nu", 1, j + 1, t),
-                lambda t, j=j: self.apply("Nu", j + 1, 1, -t),
-            )
-        if self.rows[0][col] == -1:
+            self._euclid(0, j, ("Nu", 1, j + 1), ("Nu", j + 1, 1, -1))
+        if self.rows[0][0] == -1:
             # (-1, 0) -> (1, 0) on the first hyperbolic pair
             self.apply("Tb", 1, None, 1)
             self.apply("Ta", 1, None, 2)

@@ -27,7 +27,6 @@ from morse_topo.krgraph import (
     critical_type_of,
     cut_at_level,
     kr_isomorphic,
-    piece_to_line_graph,
     regular_fiber_components,
     to_dot,
 )
@@ -327,15 +326,15 @@ def test_criterion_7_canonical_fixed_point():
             assert critical_type_of(graph, surface, k.q) == k
             again = canonical_kr_graph(surface, k.eps, k.c0, k.c2, k.q, Target.CIRCLE)
             assert to_dot(graph) == to_dot(again)
-            dec = cut_at_level(graph, 0)
-            assert len(dec.pieces) == 1
-            piece = dec.pieces[0]
+            pieces = cut_at_level(graph, 0)
+            assert len(pieces) == 1
+            piece = pieces[0]
             assert piece.piece_class is PieceClass.Q01
             cut_eps = dict(k.eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
             expected = canonical_kr_graph(_cut_surface(surface), cut_eps, k.c0, k.c2)
-            assert kr_isomorphic(piece_to_line_graph(piece), expected)
+            assert kr_isomorphic(piece.graph, expected)
             checked += 1
             cut_checked += 1
     assert checked > 300 and cut_checked > 100

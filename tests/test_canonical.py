@@ -20,7 +20,6 @@ from morse_topo.krgraph import (
     critical_type_of,
     cut_at_level,
     kr_isomorphic,
-    piece_to_line_graph,
     regular_fiber_components,
     to_dot,
 )
@@ -151,16 +150,16 @@ def test_circle_cut_recovers_line_form():
         for c0, c2 in ((0, 0), (1, 1), (2, 0)):
             g = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
             assert regular_fiber_components(g, F(0)) == 1
-            dec = cut_at_level(g, F(0))
-            assert len(dec.pieces) == 1
-            piece = dec.pieces[0]
+            pieces = cut_at_level(g, F(0))
+            assert len(pieces) == 1
+            piece = pieces[0]
             assert piece.piece_class is PieceClass.Q01
             cut = _cut_surface(s)
             cut_eps = dict(eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
             expected = canonical_kr_graph(cut, cut_eps, c0, c2)
-            assert kr_isomorphic(piece_to_line_graph(piece), expected)
+            assert kr_isomorphic(piece.graph, expected)
 
 
 def test_circle_infeasible_surfaces():

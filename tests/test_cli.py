@@ -346,6 +346,11 @@ ERROR_CONTRACT = {
                  "format: vertex ids must be 0..n-1"),
     "reeb-header": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH sideways\nv 0 0\n"},
                     "format: header must be 'HMESH orientable|nonorientable'"),
+    "reeb-second-header": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": "HMESH nonorientable\n" + format_hmesh(meshes.tetrahedron())},
+        "format: line 2: duplicate HMESH header",
+    ),
     "reeb-utf8": (["reeb", "{d}/a.hmesh"], {"a.hmesh": b"HMESH orientable\nv 0 \xff\n"},
                   "format: 'utf-8' codec can't decode byte 0xff in position 21: "
                   "invalid start byte"),

@@ -7,7 +7,8 @@ import pytest
 
 from morse_topo.canonical import InfeasibleTypeError, canonical_kr_graph
 from morse_topo.krgraph import (
-    CutEnd,
+    SEAM_LOWER,
+    SEAM_UPPER,
     KREdge,
     KRGraph,
     KRVertex,
@@ -16,7 +17,6 @@ from morse_topo.krgraph import (
     critical_type_of,
     cut_at_level,
     kr_isomorphic,
-    piece_to_line_graph,
     regular_fiber_components,
     to_dot,
 )
@@ -58,6 +58,27 @@ def circle_theta():
 
 def free_loop(winding=1):
     return KRGraph(Target.CIRCLE, [], [KREdge(0, None, None, (F(0), F(winding)))])
+
+
+def is_seam(v):
+    return (v.boundary_label or "").partition(":")[0] in (SEAM_LOWER, SEAM_UPPER)
+
+
+def own_vertices(piece):
+    """The vertices a piece keeps from the cut graph, in id order."""
+    vs = piece.graph.vertices
+    return [vs[vid] for vid in sorted(vs) if not is_seam(vs[vid])]
+
+
+def seams(piece):
+    """A piece's seams as (side, height) in id order: side 0 on the lower
+    copy of the cut level, side 1 on the upper copy."""
+    vs = piece.graph.vertices
+    return [
+        (int(vs[vid].boundary_label.startswith(SEAM_UPPER)), vs[vid].height)
+        for vid in sorted(vs)
+        if is_seam(vs[vid])
+    ]
 
 
 def test_heights_and_lifts_are_exact():
@@ -183,21 +204,21 @@ def test_fiber_components_circle():
 
 
 def test_cut_free_loop():
-    dec = cut_at_level(free_loop(1), F(0))
-    assert len(dec.pieces) == 1
-    piece = dec.pieces[0]
+    pieces = cut_at_level(free_loop(1), F(0))
+    assert len(pieces) == 1
+    piece = pieces[0]
     assert piece.piece_class is PieceClass.Q01
-    assert not piece.vertices and len(piece.edges) == 1
-    dec3 = cut_at_level(free_loop(3), F(1, 5))
-    assert [p.piece_class for p in dec3.pieces] == [PieceClass.Q01] * 3
+    assert not own_vertices(piece) and len(piece.graph.edges) == 1
+    pieces3 = cut_at_level(free_loop(3), F(1, 5))
+    assert [p.piece_class for p in pieces3] == [PieceClass.Q01] * 3
 
 
 def test_cut_circle_theta_is_line_theta_with_seams():
-    dec = cut_at_level(circle_theta(), F(0))
-    assert len(dec.pieces) == 1
-    piece = dec.pieces[0]
+    pieces = cut_at_level(circle_theta(), F(0))
+    assert len(pieces) == 1
+    piece = pieces[0]
     assert piece.piece_class is PieceClass.Q01
-    line = piece_to_line_graph(piece)
+    line = piece.graph
     kinds = sorted(v.kind.value for v in line.vertices.values())
     assert kinds == ["BoundaryCircle", "BoundaryCircle", "Saddle3", "Saddle3"]
     k = critical_type_of(line, Surface(True, 1, ("!B0", "~B1")), (0, 0))
@@ -225,15 +246,15 @@ def test_cut_lobe_classes():
     g = balloon_graph()
     # below the max both the balloon edge and the cycle loop are severed:
     # the balloon top floats off as a piece meeting only the lower cut copy
-    dec = cut_at_level(g, F(3, 10))
-    classes = sorted(p.piece_class.value for p in dec.pieces)
+    pieces = cut_at_level(g, F(3, 10))
+    classes = sorted(p.piece_class.value for p in pieces)
     assert classes == ["Q0", "Q01"]
-    q0 = [p for p in dec.pieces if p.piece_class is PieceClass.Q0][0]
-    assert [v.kind for v in q0.vertices] == [VertexKind.MAX]
+    q0 = [p for p in pieces if p.piece_class is PieceClass.Q0][0]
+    assert [v.kind for v in own_vertices(q0)] == [VertexKind.MAX]
     # above the max only the cycle crosses: everything stays in one piece
-    dec2 = cut_at_level(g, F(1, 2))
-    assert len(dec2.pieces) == 1
-    assert dec2.pieces[0].piece_class is PieceClass.Q01
+    pieces2 = cut_at_level(g, F(1, 2))
+    assert len(pieces2) == 1
+    assert pieces2[0].piece_class is PieceClass.Q01
 
 
 def test_cut_requires_circle_and_crossing():
@@ -245,6 +266,30 @@ def test_cut_requires_circle_and_crossing():
     # vertex-height error
     with pytest.raises(ValueError, match="regular"):
         cut_at_level(circle_theta(), F(1, 4))
+
+
+def test_cut_refuses_a_boundary_label_that_a_seam_takes():
+    """A boundary circle below a saddle that carries a wrap loop; the cut at
+    1/2 gives one seam on each side, labelled without a suffix."""
+
+    def graph(label):
+        vs = [
+            KRVertex(0, VertexKind.BOUNDARY, F(1, 10), label),
+            KRVertex(1, VertexKind.SADDLE3, F(3, 10)),
+        ]
+        es = [
+            KREdge(0, 0, 1, (F(1, 10), F(3, 10))),
+            KREdge(1, 1, 1, (F(3, 10), F(13, 10))),
+        ]
+        return KRGraph(Target.CIRCLE, vs, es)
+
+    for label in (SEAM_LOWER, SEAM_UPPER):
+        with pytest.raises(ValueError, match="boundary labels must be distinct"):
+            cut_at_level(graph(label), F(1, 2))
+    for label in ("x", f"{SEAM_LOWER}:0"):
+        (piece,) = cut_at_level(graph(label), F(1, 2))
+        labels = sorted(piece.graph.boundary_labels())
+        assert labels == sorted([label, SEAM_LOWER, SEAM_UPPER])
 
 
 def test_kr_isomorphic_respects_structure():
@@ -418,17 +463,11 @@ def cut_text(g, c):
     """Everything the cut at c reports: each piece's class, its cut-end lifts
     and the DOT of its line graph, or the error message."""
     try:
-        dec = cut_at_level(g, c)
         parts = []
-        for piece in dec.pieces:
-            ends = [
-                (end.side, str(end.lift))
-                for e in piece.edges
-                for end in (e.lower, e.upper)
-                if isinstance(end, CutEnd)
-            ]
+        for piece in cut_at_level(g, c):
+            ends = [(side, str(height)) for side, height in seams(piece)]
             parts.append(f"{piece.piece_class.value} {ends}\n")
-            parts.append(to_dot(piece_to_line_graph(piece)))
+            parts.append(to_dot(piece.graph))
         return "".join(parts)
     except ValueError as exc:
         return f"error: {exc}\n"
@@ -481,23 +520,16 @@ def test_cut_against_fibres_and_vertices():
     cuts = 0
     for _, g in cut_corpus():
         for c in cut_levels(g):
-            dec = cut_at_level(g, c)
+            pieces = cut_at_level(g, c)
             cuts += 1
-            ends = [
-                end
-                for piece in dec.pieces
-                for e in piece.edges
-                for end in (e.lower, e.upper)
-                if isinstance(end, CutEnd)
-            ]
+            ends = [end for piece in pieces for end in seams(piece)]
             fibre = regular_fiber_components(g, c)
-            assert sum(end.side == 0 for end in ends) == fibre
-            assert sum(end.side == 1 for end in ends) == fibre
-            ids = [v.id for piece in dec.pieces for v in piece.vertices]
+            assert sum(side == 0 for side, _ in ends) == fibre
+            assert sum(side == 1 for side, _ in ends) == fibre
+            ids = [v.id for piece in pieces for v in own_vertices(piece)]
             assert sorted(ids) == sorted(g.vertices)
-            lifts = [end.lift for end in ends]
-            lifts += [v.lift for piece in dec.pieces for v in piece.vertices]
-            assert all(c <= x <= c + 1 for x in lifts)
-            for piece in dec.pieces:
-                piece_to_line_graph(piece)
+            heights = [
+                v.height for piece in pieces for v in piece.graph.vertices.values()
+            ]
+            assert all(c <= x <= c + 1 for x in heights)
     assert cuts > 1000

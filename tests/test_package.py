@@ -1,5 +1,5 @@
-"""Checks over the whole package: how library inputs become integers, and
-which statements the source may use."""
+"""Checks over the whole package: how library inputs become integers,
+which statements the source may use, and that every definition is used."""
 import ast
 import pathlib
 from fractions import Fraction
@@ -114,3 +114,38 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _definitions(tree):
+    """Names of the module-level functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_definition_is_used():
+    # a name counts as used when the package loads it, reads it as an
+    # attribute or imports it; ``cli.main`` finds ``cmd_*`` by name
+    modules = list(_modules())
+    used = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = [
+        f"{module}.{name}"
+        for module, tree in modules
+        for name in _definitions(tree)
+        if name not in used
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (module == "cli" and name.startswith("cmd_"))
+    ]
+    assert dead == []
