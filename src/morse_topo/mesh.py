@@ -8,16 +8,17 @@ triangles builds the incidence, and one breadth-first walk over the
 vertex links orders every link and orients every triangle.  From then on
 the checks and the sweep compare only keys.  Extraction sorts the
 vertices by key once and sweeps them bottom-up, classifying each vertex
-when it reaches it by the runs of lower vertices around its link, and
-labelling every edge that crosses the sweep level with the id of its
-level circle (union-find for merges, walks along the level curve for
-splits).  That costs O(m) plus the smaller side of every split and the
-walks at degree-two saddles, for m triangles.  Everything is exact;
+when it reaches it by the runs of lower vertices around its link.  Each
+swept vertex keeps the id of the level circle above it, overridden on the
+edges a split moves (walks along the level curve; union-find for merges).
+That costs O(m) plus the smaller side of every split and the walks at
+degree-two saddles, for m triangles.  Everything is exact;
 inputs whose event heights collide are rejected rather than perturbed.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -389,6 +390,10 @@ def _sweep(m: HeightMesh):
     boundary edges may be flat, the ends of a boundary vertex's link path
     are skipped, and a boundary cycle is swept as one group.  Tied events
     are left for the caller to reject.
+
+    An edge w -> v crossing the sweep level carries the circle id
+    ``split_id.get(w*n+v, cid[w])``; the ids of one circle agree up to
+    ``find``.
     """
     n = m.num_vertices
     links = m._links
@@ -398,11 +403,11 @@ def _sweep(m: HeightMesh):
         rank[v] = i
     on_boundary = {v: (label, cyc) for label, cyc in m.boundary_cycles for v in cyc}
 
-    # contour id of every edge crossing the sweep level, keyed lower*n+upper;
-    # the ids of one level circle agree up to ``find``
-    contour: dict[int, int] = {}
+    cid = [0] * n
+    split_id: dict[int, int] = {}
     parent: list[int] = []
-    start: list[int] = []  # graph vertex where a contour's open arc begins
+    start: list[int] = []  # graph vertex where a circle's open arc begins
+    closed = 0  # circles closed or merged; each fresh id opens one
     vertices: list[KRVertex] = []
     arcs: list[tuple[int, int]] = []
     eps: dict[str, int] = {}
@@ -416,6 +421,9 @@ def _sweep(m: HeightMesh):
         while parent[c] != c:
             parent[c] = c = parent[parent[c]]
         return c
+
+    def circle(w: int, v: int) -> int:  # the circle that edge w -> v crosses
+        return find(split_id.get(w * n + v, cid[w]))
 
     for v in order:
         r = rank[v]
@@ -439,29 +447,23 @@ def _sweep(m: HeightMesh):
                 # surface below: the map increases towards the circle, and
                 # the level circle just below ends here
                 eps[label] = 1
-                for x in cyc:
-                    for w in links[x][1:-1]:
-                        c = contour.pop(w * n + x)
-                arcs.append((start[find(c)], vid))
+                closed += 1
+                w, x = next((w, x) for x in cyc for w in links[x][1:-1])
+                arcs.append((start[circle(w, x)], vid))
             else:
                 eps[label] = -1
                 c = fresh(vid)
                 for x in cyc:
-                    for w in links[x][1:-1]:
-                        contour[x * n + w] = c
+                    cid[x] = c
             continue
         link = links[v]
         lower = [rank[w] < r for w in link]
-        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
+        runs = sum(map(operator.gt, lower, lower[-1:] + lower))
         if runs == 1:
-            # regular: the lower edges are one run of one circle, and the
-            # upper edges take their place on it
-            for w, low in zip(link, lower):
-                if low:
-                    c = contour.pop(w * n + v)
-            for w, low in zip(link, lower):
-                if not low:
-                    contour[v * n + w] = c
+            # regular: the lower edges are one run of one circle, which
+            # the upper edges go on crossing
+            w = link[lower.index(True)]
+            cid[v] = split_id.get(w * n + v, cid[w])
             continue
         if runs > 2:
             raise NotMorseError(
@@ -470,25 +472,18 @@ def _sweep(m: HeightMesh):
             )
         if runs == 0 and not lower[0]:
             kind = VertexKind.MIN
-            c = fresh(vid)
-            for w in link:
-                contour[v * n + w] = c
+            cid[v] = fresh(vid)
         elif runs == 0:
             kind = VertexKind.MAX
-            for w in link:
-                c = contour.pop(w * n + v)
-            arcs.append((start[find(c)], vid))
+            closed += 1
+            arcs.append((start[circle(link[0], v)], vid))
         else:
             kind = VertexKind.SADDLE3
             saddle_runs = _saddle_runs(link, rank, r)
-            up1, low1, up2, low2 = saddle_runs
-            a = find(contour[low1[0] * n + v])
-            b = find(contour[low2[0] * n + v])
-            for w in low1 + low2:
-                del contour[w * n + v]
-            for w in up1 + up2:
-                contour[v * n + w] = a
+            a = cid[v] = circle(saddle_runs[1][0], v)
+            b = circle(saddle_runs[3][0], v)
             if a != b:  # two circles merge
+                closed += 1
                 arcs.extend((t, vid) for t in sorted((start[a], start[b])))
                 parent[b] = a
             else:
@@ -499,10 +494,10 @@ def _sweep(m: HeightMesh):
                 else:
                     c = fresh(vid)
                     for key in split:
-                        contour[key] = c
+                        split_id[key] = c
             start[a] = vid
         vertices.append(KRVertex(vid, kind, m.heights[v]))
-    if contour:
+    if closed != len(parent):
         raise AssertionError("level circles left open after the sweep")
     return vertices, arcs, eps
 
@@ -515,19 +510,21 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     the runs of lower vertices around its link (none: a minimum; one:
     regular; two: a saddle; all of it: a maximum; more: ``NotMorseError``),
     and each boundary cycle takes its sign from which side its interior
-    neighbours lie on.  Every edge crossing the sweep level carries the id
-    of its level circle:
+    neighbours lie on.  Every swept vertex keeps the id of the level
+    circle its upper edges cross, and an edge crossing the sweep level
+    carries the id of its lower end unless a split overrode it:
 
-    - a regular vertex hands the id of its lower edges to its upper edges;
+    - a regular vertex takes the id of one of its lower edges;
     - a minimum, or a boundary circle with the surface above it, opens a
-      circle; a maximum, or a boundary circle with the surface below it,
-      closes one;
+      circle with a fresh id; a maximum, or a boundary circle with the
+      surface below it, closes the circle of one of its lower edges;
     - a saddle whose two lower runs carry different circles merges them
       (union-find) into an ordinary saddle;
     - otherwise the level curve is walked from both upper runs in turn: a
       walker that closes its own circle first has found the smaller half of
-      a split (an ordinary saddle), whose edges get a fresh id; walkers that
-      reach each other's run share one circle (a degree-two saddle).
+      a split (an ordinary saddle), whose edges get a fresh id as
+      overrides; walkers that reach each other's run share one circle (a
+      degree-two saddle).
 
     Event heights are the critical-vertex heights and the boundary-circle
     heights; they must be pairwise distinct.  That is checked after the

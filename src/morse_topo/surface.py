@@ -198,6 +198,8 @@ def critical_type_from_json(text: str) -> CriticalType:
         # nested too deeply
         raise FormatError(f"invalid critical-type JSON: {exc}") from None
     try:
+        if not isinstance(payload, dict):
+            raise ValueError("the document must be an object")
         if not isinstance(payload["q"], list):
             raise ValueError('"q" must be a list')
         if not isinstance(payload["eps"], dict):

@@ -12,7 +12,14 @@ import random
 from fractions import Fraction
 
 from morse_topo.krgraph import KREdge, KRGraph, KRVertex, VertexKind
-from morse_topo.mesh import HeightMesh, NotGenericError, NotMorseError, surface_of
+from morse_topo.mesh import (
+    HeightMesh,
+    NotGenericError,
+    NotMorseError,
+    _saddle_runs,
+    _split_circle,
+    surface_of,
+)
 from morse_topo.surface import CriticalType, Target
 
 # sin- and (25 + 10*cos)-like integer profiles on 8 samples
@@ -369,6 +376,43 @@ def relabelled(m: HeightMesh, rng: random.Random) -> HeightMesh:
     return HeightMesh(m.orientable, tuple(heights), tuple(tris), cycles)
 
 
+def refine(m: HeightMesh) -> HeightMesh:
+    """``m`` with every triangle split 1-to-4 at its edge midpoints, each
+    midpoint at the exact mean height of its edge, so the height is the
+    same piecewise-linear map and the Reeb graph does not change.
+
+    In a triangle with a flat (boundary) edge, the two midpoints opposite
+    it have equal heights; the quad they border is split along the other
+    diagonal instead, from the apex to the flat edge's midpoint, so no
+    interior edge is flat.  Boundary cycles take their midpoints too.
+    """
+    heights = list(m.heights)
+    mid: dict[frozenset, int] = {}
+
+    def midpoint(u: int, w: int) -> int:
+        e = frozenset((u, w))
+        if e not in mid:
+            mid[e] = len(heights)
+            heights.append((m.heights[u] + m.heights[w]) / 2)
+        return mid[e]
+
+    tris = []
+    for t in m.triangles:
+        k = next((k for k in range(3) if m.heights[t[k]] == m.heights[t[k - 2]]), 0)
+        a, b, c = t[k:] + t[:k]  # a rotation, so (a, b) is the flat edge if any
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris += [(a, ab, ca), (ab, b, bc)]
+        if m.heights[a] == m.heights[b]:
+            tris += [(ab, bc, c), (ab, c, ca)]
+        else:
+            tris += [(ca, bc, c), (ab, bc, ca)]
+    cycles = tuple(
+        (label, tuple(x for u, w in zip(cyc, cyc[1:] + cyc[:1]) for x in (u, midpoint(u, w))))
+        for label, cyc in m.boundary_cycles
+    )
+    return HeightMesh(m.orientable, tuple(heights), tuple(tris), cycles)
+
+
 def oracle_links(m: HeightMesh) -> list[list[int]]:
     """The link of every vertex, chained from the unordered pairs of
     vertices opposite it in its triangles: a cycle, or for a boundary vertex
@@ -629,3 +673,123 @@ def brute_force_reeb(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
         len(maxima), eps,
     )
     return KRGraph(Target.LINE, vertices, edges), ktype
+
+
+# ---------------------------------------------------------------------------
+# Reference sweep: the library's sweep with a dict of every crossing edge
+
+
+def reference_sweep(m: HeightMesh):
+    """Oracle for ``mesh._sweep``: the same bottom-up sweep, but keeping
+    the id of every edge that crosses the sweep level in a dict keyed
+    lower*n+upper, popping a vertex's lower edges and pushing its upper
+    edges at every vertex, regular or not.  Open circles are the edges left
+    in the dict at the end."""
+    n = m.num_vertices
+    links = m._links
+    order = sorted(range(n), key=m._keys.__getitem__)
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    on_boundary = {v: (label, cyc) for label, cyc in m.boundary_cycles for v in cyc}
+    contour: dict[int, int] = {}
+    parent: list[int] = []
+    start: list[int] = []
+    vertices: list[KRVertex] = []
+    arcs: list[tuple[int, int]] = []
+    eps: dict[str, int] = {}
+
+    def fresh(at: int) -> int:
+        parent.append(len(parent))
+        start.append(at)
+        return len(parent) - 1
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for v in order:
+        r = rank[v]
+        vid = len(vertices)
+        if v in on_boundary:
+            label, cyc = on_boundary[v]
+            if label in eps:
+                continue
+            above = {rank[w] > r for x in cyc for w in links[x][1:-1]}
+            if not above:
+                raise NotMorseError(
+                    f"boundary cycle {label!r} has no interior neighbours, "
+                    "so the height is constant near it"
+                )
+            if len(above) != 1:
+                raise NotMorseError(
+                    f"boundary cycle {label!r} has interior neighbours on both sides"
+                )
+            vertices.append(KRVertex(vid, VertexKind.BOUNDARY, m.heights[v], label))
+            if above == {False}:
+                eps[label] = 1
+                for x in cyc:
+                    for w in links[x][1:-1]:
+                        c = contour.pop(w * n + x)
+                arcs.append((start[find(c)], vid))
+            else:
+                eps[label] = -1
+                c = fresh(vid)
+                for x in cyc:
+                    for w in links[x][1:-1]:
+                        contour[x * n + w] = c
+            continue
+        link = links[v]
+        lower = [rank[w] < r for w in link]
+        runs = sum(1 for i, low in enumerate(lower) if low and not lower[i - 1])
+        if runs == 1:
+            for w, low in zip(link, lower):
+                if low:
+                    c = contour.pop(w * n + v)
+            for w, low in zip(link, lower):
+                if not low:
+                    contour[v * n + w] = c
+            continue
+        if runs > 2:
+            raise NotMorseError(
+                f"vertex {v} has a lower link with {runs} components "
+                "(degenerate saddle)"
+            )
+        if runs == 0 and not lower[0]:
+            kind = VertexKind.MIN
+            c = fresh(vid)
+            for w in link:
+                contour[v * n + w] = c
+        elif runs == 0:
+            kind = VertexKind.MAX
+            for w in link:
+                c = contour.pop(w * n + v)
+            arcs.append((start[find(c)], vid))
+        else:
+            kind = VertexKind.SADDLE3
+            saddle_runs = _saddle_runs(link, rank, r)
+            up1, low1, up2, low2 = saddle_runs
+            a = find(contour[low1[0] * n + v])
+            b = find(contour[low2[0] * n + v])
+            for w in low1 + low2:
+                del contour[w * n + v]
+            for w in up1 + up2:
+                contour[v * n + w] = a
+            if a != b:
+                arcs.extend((t, vid) for t in sorted((start[a], start[b])))
+                parent[b] = a
+            else:
+                arcs.append((start[a], vid))
+                split = _split_circle(v, saddle_runs, rank, links, n)
+                if split is None:
+                    kind = VertexKind.STAR2
+                else:
+                    c = fresh(vid)
+                    for key in split:
+                        contour[key] = c
+            start[a] = vid
+        vertices.append(KRVertex(vid, kind, m.heights[v]))
+    if contour:
+        raise AssertionError("level circles left open after the sweep")
+    return vertices, arcs, eps

@@ -400,6 +400,22 @@ ERROR_CONTRACT = {
         "format: invalid critical-type JSON: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)",
     ),
+    "classify-array-document": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"], {"a.ktype": GOOD_KTYPE, "b.ktype": "[]"},
+        "format: invalid critical-type JSON: the document must be an object",
+    ),
+    "classify-number-document": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"], {"a.ktype": GOOD_KTYPE, "b.ktype": "3"},
+        "format: invalid critical-type JSON: the document must be an object",
+    ),
+    "classify-string-document": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"], {"a.ktype": GOOD_KTYPE, "b.ktype": '"x"'},
+        "format: invalid critical-type JSON: the document must be an object",
+    ),
+    "classify-null-document": (
+        ["classify", "{d}/a.ktype", "{d}/b.ktype"], {"a.ktype": GOOD_KTYPE, "b.ktype": "null"},
+        "format: invalid critical-type JSON: the document must be an object",
+    ),
     "classify-target": (
         ["classify", "{d}/a.ktype", "{d}/b.ktype"],
         {"a.ktype": GOOD_KTYPE, "b.ktype": GOOD_KTYPE.replace("Line", "Plane")},

@@ -21,6 +21,7 @@ from morse_topo.mesh import (
     NotGenericError,
     NotMorseError,
     _height_keys,
+    _sweep,
     extract_kr_graph,
     format_hmesh,
     parse_hmesh,
@@ -171,6 +172,65 @@ def test_sweep_matches_brute_force_on_random_morse_meshes():
         stars += assert_matches_brute_force(m, (family, n)).has_star()
         accepted[family] += 1
     assert rejected > 0 and stars > 0
+
+
+def sweep_or_error(sweep, m):
+    try:
+        return sweep(m)
+    except (NotMorseError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_sweep_matches_reference_on_corpus():
+    # refined meshes add long runs of regular vertices between the events
+    rng = random.Random(SEED)
+    for name, m in meshes.corpus().items():
+        fine = meshes.relabelled(meshes.refine(m), rng)
+        assert _sweep(m) == meshes.reference_sweep(m), name
+        assert _sweep(fine) == meshes.reference_sweep(fine), name
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["torus", "klein", "holed"]),
+    n=st.integers(4, 9),
+)
+@settings(deadline=None, max_examples=150)
+def test_sweep_matches_reference_on_random_meshes(seed, family, n):
+    rng = random.Random(seed)
+    try:
+        m = meshes.relabelled(meshes.random_grid_mesh(rng, family, n), rng)
+    except NotGenericError:
+        return  # a hole whose ring has a chord: no mesh
+    assert sweep_or_error(_sweep, m) == sweep_or_error(meshes.reference_sweep, m)
+
+
+@pytest.mark.parametrize("name", ["torus", "genus2", "klein"])
+def test_open_circle_count_catches_a_lost_split(monkeypatch, name):
+    # a split that moves no edge to its new circle leaves that circle open;
+    # without the count the sweep would end in a graph with a bad degree
+    m = meshes.corpus()[name]
+    monkeypatch.setattr("morse_topo.mesh._split_circle", lambda *args: [])
+    with pytest.raises(AssertionError, match="^level circles left open after the sweep$"):
+        extract_kr_graph(m)
+
+
+def test_refinement_keeps_type_and_graph():
+    # the refined height is the same piecewise-linear map, so the same
+    # Reeb graph at the same heights
+    rng = random.Random(SEED)
+
+    def heights(g):
+        return [v.height for _, v in sorted(g.vertices.items())]
+
+    for name, m in meshes.corpus().items():
+        graph, ktype = extract_kr_graph(m)
+        fine = meshes.relabelled(meshes.refine(meshes.refine(m)), rng)
+        assert fine.num_vertices > 4 * m.num_vertices, name
+        fine_graph, fine_ktype = extract_kr_graph(fine)
+        assert fine_ktype == ktype, name
+        assert kr_isomorphic(fine_graph, graph), name
+        assert heights(fine_graph) == heights(graph), name
 
 
 @pytest.mark.parametrize("n, f", [(48, 6), (64, 8)])
