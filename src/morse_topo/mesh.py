@@ -43,7 +43,7 @@ class NotGenericError(ValueError):
 @dataclass(frozen=True)
 class HeightMesh:
     orientable: bool
-    heights: tuple[Fraction, ...]  # indexed by vertex id 0..n-1
+    heights: tuple[int | Fraction, ...]  # indexed by vertex id 0..n-1
     triangles: tuple[tuple[int, int, int], ...]
     boundary_cycles: tuple[tuple[str, tuple[int, ...]], ...] = ()
     # ordered link of each vertex, built when the mesh is checked: a cycle,
@@ -56,10 +56,12 @@ class HeightMesh:
     def __post_init__(self):
         # convert only what is not already a tuple of the right types, as
         # ``parse_hmesh`` builds it: collecting the types (in C) costs a
-        # tenth of rebuilding every height and triangle
+        # tenth of rebuilding every height and triangle.  An ``int`` height
+        # stays an ``int``; a ``bool`` or ``float`` becomes a ``Fraction``
         heights, tris = self.heights, self.triangles
-        if type(heights) is not tuple or set(map(type, heights)) - {Fraction}:
-            object.__setattr__(self, "heights", tuple(map(Fraction, heights)))
+        if type(heights) is not tuple or set(map(type, heights)) - {int, Fraction}:
+            heights = tuple(h if type(h) in (int, Fraction) else Fraction(h) for h in heights)
+            object.__setattr__(self, "heights", heights)
         if (
             type(tris) is not tuple
             or set(map(type, tris)) - {tuple}
@@ -92,10 +94,13 @@ class HeightMesh:
 _KEY_LCM_BITS = 64
 
 
-def _height_keys(heights: tuple[Fraction, ...]) -> tuple[int, ...]:
+def _height_keys(heights: tuple[int | Fraction, ...]) -> tuple[int, ...]:
     """One integer per height that orders and ties exactly like the heights:
-    the height times the lcm of the denominators while that lcm fits in
-    ``_KEY_LCM_BITS`` bits, else its rank among the distinct heights."""
+    the heights themselves when they are all ``int``, else the height times
+    the lcm of the denominators while that lcm fits in ``_KEY_LCM_BITS``
+    bits, else its rank among the distinct heights."""
+    if set(map(type, heights)) == {int}:
+        return heights
     lcm = 1
     for d in {h.denominator for h in heights}:
         lcm = math.lcm(lcm, d)
@@ -274,39 +279,38 @@ def surface_of(m: HeightMesh) -> Surface:
 
 def parse_hmesh(text: str) -> HeightMesh:
     orientable = None
-    heights: dict[int, Fraction] = {}
+    heights: dict[int, int | Fraction] = {}
     triangles = []
     cycles = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         try:
-            if parts[0] == "HMESH":
-                if orientable is not None:
-                    raise MeshFormatError(f"line {lineno}: duplicate HMESH header")
-                if len(parts) != 2 or parts[1] not in ("orientable", "nonorientable"):
-                    raise MeshFormatError("header must be 'HMESH orientable|nonorientable'")
-                orientable = parts[1] == "orientable"
+            if parts[0] == "t":
+                _, a, b, c = parts
+                triangles.append((int(a), int(b), int(c)))
             elif parts[0] == "v":
                 _, vid, height = parts  # no more and no fewer fields
                 vid = int(vid)
                 if vid in heights:
                     raise MeshFormatError(f"line {lineno}: duplicate vertex id {vid}")
-                num, _, den = height.partition("/")
-                heights[vid] = Fraction(int(num), int(den) if den else 1)
-            elif parts[0] == "t":
-                _, a, b, c = parts
-                triangles.append((int(a), int(b), int(c)))
+                num, slash, den = height.partition("/")
+                heights[vid] = Fraction(int(num), int(den)) if slash else int(num)
             elif parts[0] == "b":
                 cycles.append((parts[1], tuple(int(x) for x in parts[2:])))
+            elif parts[0] == "HMESH":
+                if orientable is not None:
+                    raise MeshFormatError(f"line {lineno}: duplicate HMESH header")
+                if len(parts) != 2 or parts[1] not in ("orientable", "nonorientable"):
+                    raise MeshFormatError("header must be 'HMESH orientable|nonorientable'")
+                orientable = parts[1] == "orientable"
             else:
                 raise MeshFormatError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, MeshFormatError):
                 raise
-            raise MeshFormatError(f"line {lineno}: cannot parse {line!r}") from None
+            raise MeshFormatError(f"line {lineno}: cannot parse {raw.strip()!r}") from None
     if orientable is None:
         raise MeshFormatError("missing HMESH header")
     if set(heights) != set(range(len(heights))):
@@ -322,7 +326,7 @@ def parse_hmesh(text: str) -> HeightMesh:
 def format_hmesh(m: HeightMesh) -> str:
     lines = [f"HMESH {'orientable' if m.orientable else 'nonorientable'}"]
     for i, h in enumerate(m.heights):
-        lines.append(f"v {i} {h.numerator}/{h.denominator}")
+        lines.append(f"v {i} {h}")
     for a, b, c in m.triangles:
         lines.append(f"t {a} {b} {c}")
     for label, cyc in m.boundary_cycles:

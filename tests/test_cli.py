@@ -342,6 +342,8 @@ ERROR_CONTRACT = {
                 "io: cannot read {d}/none.hmesh: No such file or directory"),
     "reeb-height": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 1/0\n"},
                     "format: line 2: cannot parse 'v 0 1/0'"),
+    "reeb-empty-denominator": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 5/\n"},
+                               "format: line 2: cannot parse 'v 0 5/'"),
     "reeb-ids": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 0\nv 2 1\n"},
                  "format: vertex ids must be 0..n-1"),
     "reeb-header": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH sideways\nv 0 0\n"},

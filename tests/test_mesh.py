@@ -14,6 +14,7 @@ from morse_topo.krgraph import (
     critical_type_of,
     kr_isomorphic,
     regular_fiber_components,
+    to_dot,
 )
 from morse_topo.mesh import (
     HeightMesh,
@@ -27,7 +28,7 @@ from morse_topo.mesh import (
     parse_hmesh,
     surface_of,
 )
-from morse_topo.surface import euler_characteristic, validate_critical_type
+from morse_topo.surface import critical_type_to_json, euler_characteristic, validate_critical_type
 
 
 def test_corpus_extracts_with_expected_types():
@@ -314,6 +315,52 @@ def test_hmesh_round_trip():
     for m in meshes.corpus().values():
         again = parse_hmesh(format_hmesh(m))
         assert again == m
+
+
+def test_hmesh_heights_are_int_or_fraction():
+    text = format_hmesh(meshes.tetrahedron())
+    for vid, height in enumerate(("-7", "6/3", "-1/2", "0/5")):
+        text = text.replace(f"v {vid} {vid}\n", f"v {vid} {height}\n")
+    m = parse_hmesh(text)
+    assert list(map(type, m.heights)) == [int, F, F, F]
+    assert m.heights == (-7, 2, F(-1, 2), 0)
+    for m in meshes.corpus().values():
+        as_ints = tuple(h.numerator if h.denominator == 1 else h for h in m.heights)
+        twins = [
+            HeightMesh(m.orientable, hs, m.triangles, m.boundary_cycles)
+            for hs in (as_ints, tuple(map(F, as_ints)))
+        ]
+        assert twins[0] == twins[1] == m
+        assert twins[0]._keys == twins[1]._keys
+        (g0, k0), (g1, k1) = map(extract_kr_graph, twins)
+        assert to_dot(g0) == to_dot(g1)
+        assert critical_type_to_json(k0) == critical_type_to_json(k1)
+    m = meshes.tetrahedron()
+    m = HeightMesh(True, (True, 0.5) + m.heights[2:], m.triangles)
+    assert list(map(type, m.heights)) == [F] * 4
+    assert m.heights[:2] == (F(1), F(1, 2))
+
+
+def test_parse_builds_a_fraction_only_for_a_quotient(monkeypatch):
+    # integer heights stay ``int`` from the text to the sweep keys
+    text = format_hmesh(meshes.baseline_torus(64, 1))
+    built = 0
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    parse_hmesh(text)
+    assert built == 0
+    quotients = {0: "1/3", 2: "-5/2", 7: "14/7"}
+    lines = text.splitlines()
+    for vid, height in quotients.items():
+        lines[1 + vid] = f"v {vid} {height}"
+    parse_hmesh("\n".join(lines))
+    assert built == len(quotients)
 
 
 def test_hmesh_skips_blank_and_comment_lines():
