@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import logging
 import sys
 
 from . import canonical, classify, krgraph, mcg, mesh, surface, symplectic
-from .surface import FormatError, Surface, Target, _json_line
+from .surface import FormatError, Surface, Target, _decimal_int, _json_line
 
 
 class DomainError(Exception):
@@ -44,7 +43,7 @@ def _read_file(path: str) -> str:
 
 def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in parts)
+        return tuple(map(_decimal_int, parts))
     except ValueError:
         raise FormatError(f"bad {what}") from None
 
@@ -177,23 +176,22 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def _int_vector_json(v: tuple[int, ...]) -> str:
-    """``_json_line(list(v))`` for an integer vector, written as runs of
-    zeros between its non-zero entries: a curve class of a catalogue has
-    2g entries and at most two of them non-zero."""
+def _sparse_vector_json(n: int, entries) -> str:
+    """``_json_line`` of the length-n integer list with the non-zero ``(index,
+    value)`` ``entries``, in index order: the zeros between are written, not scanned."""
     parts = []
     last = -1
-    for i in itertools.compress(range(len(v)), v):
-        parts += "0," * (i - last - 1), f"{v[i]},"
+    for i, x in entries:
+        parts += "0," * (i - last - 1), f"{x},"
         last = i
-    parts.append("0," * (len(v) - last - 1))
+    parts.append("0," * (n - last - 1))
     return "[" + "".join(parts)[:-1] + "]"
 
 
 def _generator_line(g: mcg.MCGGenerator) -> str:
     """One catalogue line: the generator's fields as one JSON object."""
     head = _json_line({"kind": g.kind.value, "name": g.name, "curve": g.curve})
-    cls = _int_vector_json(g.curve_class) if g.curve_class else _json_line(None)
+    cls = "null" if g.sparse_class is None else _sparse_vector_json(*g.sparse_class)
     tail = _json_line(g.admissible.value)
     return f'{head[:-1]},"curve_class":{cls},"admissible":{tail}}}\n'
 

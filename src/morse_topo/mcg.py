@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -80,24 +81,36 @@ class Admissible(enum.Enum):
 
 @dataclass(frozen=True)
 class MCGGenerator:
+    """A catalogue entry.  ``sparse_class`` is a twist curve's homology class as
+    its length 2g and its at most two non-zero ``(index, value)`` entries, or None."""
+
     kind: GeneratorKind
     name: str
     admissible: Admissible
     curve: str | None = None
-    curve_class: tuple[int, ...] | None = None
+    sparse_class: tuple[int, tuple[tuple[int, int], ...]] | None = None
+
+    @property
+    def curve_class(self) -> tuple[int, ...] | None:
+        """The class as a dense 2g-tuple, built on each call, or None."""
+        if self.sparse_class is None:
+            return None
+        n, entries = self.sparse_class
+        v = [0] * n
+        for i, x in entries:
+            v[i] = x
+        return tuple(v)
 
 
-def _twist(curve: str, flag: Admissible, cls: tuple[int, ...] | None = None):
+def _twist(curve: str, flag: Admissible, cls: tuple | None = None):
     return MCGGenerator(
-        GeneratorKind.DEHN_TWIST, f"t_{curve}", flag, curve=curve, curve_class=cls
+        GeneratorKind.DEHN_TWIST, f"t_{curve}", flag, curve=curve, sparse_class=cls
     )
 
 
-def _configuration_curves(
-    g: int, b_minus: int, b_plus: int
-) -> list[tuple[str, tuple[int, ...]]]:
+def _configuration_curves(g: int, b_minus: int, b_plus: int) -> list[tuple[str, tuple]]:
     """Curves of the reference configuration on an orientable surface,
-    each named and with its homology class.
+    each named and with its homology class, stored by its non-zero entries.
 
     alpha_i/beta_i run over the g handles and are the basis classes,
     gamma_i joins consecutive handles and is homologous to
@@ -106,25 +119,13 @@ def _configuration_curves(
     are boundary-parallel and null-homologous.
     """
     n = 2 * g
-    curves = []
-    for i in range(g):
-        v = [0] * n
-        v[i] = 1
-        curves.append((f"alpha_{i + 1}", tuple(v)))
-    for i in range(g):
-        v = [0] * n
-        v[g + i] = 1
-        curves.append((f"beta_{i + 1}", tuple(v)))
-    for i in range(g - 1):
-        v = [0] * n
-        v[i] = 1
-        v[i + 1] = -1
-        curves.append((f"gamma_{i + 1}", tuple(v)))
-    for i in range(1, b_minus + 1):
-        curves.append((f"delta_{i}", (0,) * n))
-    for i in range(1, b_plus + 1):
-        curves.append((f"epsilon_{i}", (0,) * n))
-    return curves
+    return (
+        [(f"alpha_{i + 1}", (n, ((i, 1),))) for i in range(g)]
+        + [(f"beta_{i + 1}", (n, ((g + i, 1),))) for i in range(g)]
+        + [(f"gamma_{i + 1}", (n, ((i, 1), (i + 1, -1)))) for i in range(g - 1)]
+        + [(f"delta_{i}", (n, ())) for i in range(1, b_minus + 1)]
+        + [(f"epsilon_{i}", (n, ())) for i in range(1, b_plus + 1)]
+    )
 
 
 def _boundary_pair_generators(
@@ -180,7 +181,13 @@ def canonical_generator_set(
     the genus is even.  Admissibility flags describe the minimal canonical
     map for the given signs; that is the representative whose extrema exist
     exactly when a sign class is empty.
+
+    A genus g with 2g(3g - 1) > sys.maxsize is rejected before anything is
+    built: that is the number of class entries the orientable catalogue
+    prints, more items than any Python sequence can hold.
     """
+    if 2 * s.genus * (3 * s.genus - 1) > sys.maxsize:
+        raise ValueError(f"genus {s.genus} is too large to list its generators")
     if set(eps) != set(s.boundary):
         raise ValueError("eps labels do not match surface boundary")
     b_minus = sum(1 for v in eps.values() if v < 0)

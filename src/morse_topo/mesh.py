@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
-from .surface import CriticalType, FormatError, Surface, Target, _int_vector, validate_critical_type
+from .surface import CriticalType, FormatError, Surface, Target, _int_reader, _int_vector, validate_critical_type
 
 
 class MeshFormatError(FormatError):
@@ -282,6 +282,7 @@ def parse_hmesh(text: str) -> HeightMesh:
     heights: dict[int, int | Fraction] = {}
     triangles = []
     cycles = []
+    to_int = _int_reader(text)
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
@@ -289,16 +290,16 @@ def parse_hmesh(text: str) -> HeightMesh:
         try:
             if parts[0] == "t":
                 _, a, b, c = parts
-                triangles.append((int(a), int(b), int(c)))
+                triangles.append((to_int(a), to_int(b), to_int(c)))
             elif parts[0] == "v":
                 _, vid, height = parts  # no more and no fewer fields
-                vid = int(vid)
+                vid = to_int(vid)
                 if vid in heights:
                     raise MeshFormatError(f"line {lineno}: duplicate vertex id {vid}")
                 num, slash, den = height.partition("/")
-                heights[vid] = Fraction(int(num), int(den)) if slash else int(num)
+                heights[vid] = Fraction(to_int(num), to_int(den)) if slash else to_int(num)
             elif parts[0] == "b":
-                cycles.append((parts[1], tuple(int(x) for x in parts[2:])))
+                cycles.append((parts[1], tuple(map(to_int, parts[2:]))))
             elif parts[0] == "HMESH":
                 if orientable is not None:
                     raise MeshFormatError(f"line {lineno}: duplicate HMESH header")

@@ -31,6 +31,23 @@ def _int_vector(v: Iterable[int], what: str = "vector entries") -> tuple[int, ..
     raise ValueError(f"{what} must be integers")
 
 
+def _decimal_int(text: str) -> int:
+    """``int(text)`` for an ASCII decimal integer with an optional sign: a
+    ValueError for the other forms ``int`` reads, such as ``1_0`` or
+    non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+def _int_reader(text: str):
+    """The integer reader for the fields of ``text``: ``int`` when the text
+    holds no ``_`` and no non-ASCII character, so no field can hold one,
+    else ``_decimal_int``.  Labels and comments may hold either, so the
+    whole text is tested once and single fields only when that finds one."""
+    return int if text.isascii() and "_" not in text else _decimal_int
+
+
 class Target(enum.Enum):
     """Codomain of a Morse mapping: the real line or the circle."""
 

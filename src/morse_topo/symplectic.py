@@ -20,7 +20,7 @@ import operator
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .surface import FormatError, _int_vector
+from .surface import FormatError, _int_reader, _int_vector
 
 
 class SpMatrix:
@@ -270,7 +270,7 @@ def _normalize(word: Iterable[GenPower]) -> Word:
 # Word and matrix text formats
 
 
-_TOKEN_RE = re.compile(r"^(Ta|Tb|Mu|Eta|Nu)(\d+)(?:,(\d+))?(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^(Ta|Tb|Mu|Eta|Nu)(\d+)(?:,(\d+))?(?:\^(-?\d+))?$", re.ASCII)
 
 
 def format_word(word: Sequence[GenPower]) -> str:
@@ -314,11 +314,12 @@ def format_matrix(m: SpMatrix) -> str:
 
 def parse_matrix(text: str) -> SpMatrix:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    to_int = _int_reader(text)
     if not lines or lines[0][0] != "SP":
         raise FormatError("matrix text must start with an 'SP <g>' header")
     try:
         _, g = lines[0]  # no more and no fewer fields
-        g = int(g)
+        g = to_int(g)
     except ValueError:
         raise FormatError("bad 'SP <g>' header") from None
     if g < 1:
@@ -326,7 +327,7 @@ def parse_matrix(text: str) -> SpMatrix:
     if len(lines) != 1 + 2 * g:
         raise FormatError(f"expected {2 * g} matrix rows, got {len(lines) - 1}")
     try:
-        rows = [[int(x) for x in ln] for ln in lines[1:]]
+        rows = [[to_int(x) for x in ln] for ln in lines[1:]]
     except ValueError:
         raise FormatError("matrix entries must be integers") from None
     if any(len(row) != 2 * g for row in rows):

@@ -261,7 +261,8 @@ _sparse_ints = st.one_of(
 def test_int_vector_json_matches_the_encoder(v):
     from morse_topo import cli
 
-    assert cli._int_vector_json(tuple(v)) == cli._json_line(v)
+    entries = [(i, x) for i, x in enumerate(v) if x]
+    assert cli._sparse_vector_json(len(v), entries) == cli._json_line(v)
 
 
 def _generators_oracle(genus, orientable, target, eps):
@@ -312,6 +313,23 @@ def test_generators_output_matches_whole_line_encoding(capsys):
     assert runs > 80
 
 
+def test_generators_never_builds_a_dense_class(capsys, monkeypatch):
+    """The CLI writes every catalogue class from its stored non-zero
+    entries; the dense ``curve_class`` is for library callers."""
+    from morse_topo import mcg
+
+    mixed = {f"B{i}": 1 if i % 3 else -1 for i in range(40)}
+    expected = _generators_oracle(400, True, "Line", mixed)
+
+    def dense(self):
+        raise AssertionError("the CLI built a dense curve class")
+
+    monkeypatch.setattr(mcg.MCGGenerator, "curve_class", property(dense))
+    boundary = ",".join(f"{l}:{'+' if e > 0 else '-'}" for l, e in mixed.items())
+    argv = ["generators", "--genus", "400", "--boundary", boundary]
+    assert _in_process(argv, capsys) == expected
+
+
 def test_surface_descriptor_form():
     expanded = run_cli("generators", "--genus", "2", "--boundary", "V1:+,V2:-")
     compact = run_cli("generators", "--surface", "orientable:g=2:V1:+,V2:-")
@@ -344,6 +362,15 @@ ERROR_CONTRACT = {
                     "format: line 2: cannot parse 'v 0 1/0'"),
     "reeb-empty-denominator": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 5/\n"},
                                "format: line 2: cannot parse 'v 0 5/'"),
+    "reeb-underscore-height": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 1_0\n"},
+                               "format: line 2: cannot parse 'v 0 1_0'"),
+    "reeb-non-ascii-height": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 \u0665\n".encode()},
+                              "format: line 2: cannot parse 'v 0 \u0665'"),
+    "reeb-non-ascii-index": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": format_hmesh(meshes.tetrahedron()).replace("t 0 1 2", "t 0 1 \u0662").encode()},
+        "format: line 6: cannot parse 't 0 1 \u0662'",
+    ),
     "reeb-ids": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH orientable\nv 0 0\nv 2 1\n"},
                  "format: vertex ids must be 0..n-1"),
     "reeb-header": (["reeb", "{d}/a.hmesh"], {"a.hmesh": "HMESH sideways\nv 0 0\n"},
@@ -507,6 +534,10 @@ ERROR_CONTRACT = {
                 "format: 'SP <g>' header needs g >= 1, got 0"),
     "sp-negative": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP -1\n"},
                     "format: 'SP <g>' header needs g >= 1, got -1"),
+    "sp-underscore-header": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1_0\n"},
+                             "format: bad 'SP <g>' header"),
+    "sp-non-ascii-entry": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1\n1 1_0\n0 \u0661\n".encode()},
+                           "format: matrix entries must be integers"),
     "sp-width": (["sp-decompose", "{d}/a.sp"], {"a.sp": "SP 1\n1 0 0\n0 1\n"},
                  "format: matrix rows must have 2g entries"),
     "sp-g-mismatch": (["sp-decompose", "--g", "2", "{d}/a.sp"], {"a.sp": IDENTITY},
@@ -521,6 +552,8 @@ ERROR_CONTRACT = {
                   "io: cannot read {d}/none.sp: No such file or directory"),
     "factor-matrix": (["factor", "--q", "0,1", "--matrix", "{d}/a.sp"], {"a.sp": "SP 0\n"},
                       "format: 'SP <g>' header needs g >= 1, got 0"),
+    "factor-q-digits": (["factor", "--q=1_0,\u0662", "--matrix", "{d}/a.sp"], {"a.sp": IDENTITY},
+                        "format: bad integer vector '1_0,\u0662'"),
     "factor-q-length": (["factor", "--q", "0,0,1,0", "--matrix", "{d}/a.sp"], {"a.sp": IDENTITY},
                         "domain: q must have length 2g"),
     "factor-not-fixing": (["factor", "--q=0,1", "--matrix", "{d}/a.sp"], {"a.sp": "SP 1\n1 0\n-1 1\n"},
@@ -538,6 +571,8 @@ ERROR_CONTRACT = {
                             "format: boundary item 'V' must be label:+ or label:-"),
     "generators-nonorientable-g0": (["generators", "--genus", "0", "--nonorientable"], {},
                                     "domain: a non-orientable surface has genus >= 1"),
+    "generators-huge-genus": (["generators", "--genus", str(10**10)], {},
+                              f"domain: genus {10**10} is too large to list its generators"),
 }
 
 

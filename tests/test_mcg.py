@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,38 @@ def test_generators_circle_unsupported_cases():
         canonical_generator_set(Surface(False, 2), {}, Target.CIRCLE)
     with pytest.raises(ValueError):
         canonical_generator_set(Surface(True, 0), {}, Target.CIRCLE)
+
+
+def test_catalogue_classes_are_stored_by_their_non_zero_entries():
+    for g in range(1, 401):
+        gens = canonical_generator_set(Surface(True, g, ("V1", "V2")), {"V1": 1, "V2": -1}, Target.LINE)
+        classes = {x.curve: x.sparse_class for x in gens if x.sparse_class is not None}
+        assert len(classes) == 3 * g + 1
+        for n, entries in classes.values():
+            assert n == 2 * g and len(entries) <= 2
+            assert [i for i, _ in entries] == sorted({i for i, _ in entries})
+            assert all(0 <= i < n and x for i, x in entries)
+        if g <= 5:
+            dense = {x.curve: x.curve_class for x in gens if x.curve_class is not None}
+            e = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
+            expected = {f"alpha_{i + 1}": e[i] for i in range(g)}
+            expected |= {f"beta_{i + 1}": e[g + i] for i in range(g)}
+            expected |= {f"gamma_{i + 1}": tuple(a - b for a, b in zip(e[i], e[i + 1])) for i in range(g - 1)}
+            expected |= {"delta_1": (0,) * (2 * g), "epsilon_1": (0,) * (2 * g)}
+            assert dense == expected
+
+
+def test_huge_genus_is_rejected_before_anything_is_built():
+    # the least genus whose orientable catalogue prints more than
+    # sys.maxsize class entries; never call with a smaller one here
+    g = math.isqrt(sys.maxsize // 6) + 1
+    assert 2 * g * (3 * g - 1) > sys.maxsize >= 2 * (g - 1) * (3 * (g - 1) - 1)
+    for genus in (g, 10**10):
+        for s, target in ((Surface(True, genus), Target.LINE), (Surface(True, genus), Target.CIRCLE),
+                          (Surface(False, genus, ("V",)), Target.LINE)):
+            eps = {label: 1 for label in s.boundary}
+            with pytest.raises(ValueError, match=f"genus {genus} is too large to list its generators"):
+                canonical_generator_set(s, eps, target)
 
 
 def forbidden(p):

@@ -427,6 +427,25 @@ def test_hmesh_parse_errors():
             parse_hmesh(f"HMESH orientable\nv 1 1\n{record}\n")
 
 
+def test_hmesh_integers_are_ascii_decimal():
+    """Ids, indices and heights are ASCII decimal integers, with or without
+    a non-ASCII label or comment elsewhere in the text; labels and comments
+    may hold any text."""
+    text = format_hmesh(meshes.cylinder())
+    fancy = "# h\u00f6he_1\n" + text.replace("b top", "b t\u00f6p_1")
+    assert parse_hmesh(fancy).boundary_cycles[1] == ("t\u00f6p_1", (4, 5, 6, 7))
+    assert parse_hmesh(fancy).heights == parse_hmesh(text).heights == (0,) * 4 + (1,) * 4
+    assert parse_hmesh(text.replace("v 0 0", "v 0 +0").replace("v 4 1", "v 4 1/1")) == parse_hmesh(text)
+    for good, bad in [("v 0 0", "v 0 0_0"), ("v 1 0", "v 1 \u0660"), ("v 4 1", "v 4 1/\u0661"),
+                      ("v 4 1", "v \u0664 1"), ("t 0 1 5", "t 0 1 \uff15"), ("t 0 1 5", "t 0 1 0_5"),
+                      ("b bottom 0 1 2 3", "b bottom 0 \u0661 2 3")]:
+        for base in (text, fancy):
+            assert good in base
+            line = base.splitlines().index(good) + 1
+            with pytest.raises(MeshFormatError, match=f"line {line}: cannot parse '{bad}'"):
+                parse_hmesh(base.replace(good, bad, 1))
+
+
 def test_monkey_saddle_rejected():
     # suspension of a hexagon with alternating equator heights: the north
     # pole's lower link has three components

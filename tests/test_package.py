@@ -90,13 +90,15 @@ def _int_calls(node, owner):
         yield from _int_calls(child, name)
 
 
-# the text parsers read integers from digits; every other integer comes
-# through the checked intake, which never truncates
+# the text parsers and their ASCII-decimal reader read integers from
+# digits; every other integer comes through the checked intake, which
+# never truncates
 TEXT_PARSERS = {
     "mesh.parse_hmesh",
     "symplectic.parse_matrix",
     "symplectic.parse_word",
     "cli._parse_ints",
+    "surface._decimal_int",
 }
 
 

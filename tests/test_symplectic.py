@@ -595,6 +595,9 @@ def test_word_text_round_trip():
         parse_word("Ta1,2")
     with pytest.raises(ValueError):
         parse_word("Mu1")
+    for token in ("Ta\u0661^\u0662", "Nu1,\u0662", "Tb1^-\uff13"):
+        with pytest.raises(ValueError, match="bad generator token"):
+            parse_word(token)
 
 
 def test_matrix_text_round_trip():
@@ -606,6 +609,11 @@ def test_matrix_text_round_trip():
         parse_matrix("1 0\n0 1\n")
     with pytest.raises(ValueError):
         parse_matrix("SP 2\n1 0\n0 1\n")
+    with pytest.raises(FormatError, match="bad 'SP <g>' header"):
+        parse_matrix("SP \u0661\n1 0\n0 1\n")
+    for rows in ("1 1_0\n0 1\n", "1 0\n0 \u0661\n"):
+        with pytest.raises(FormatError, match="matrix entries must be integers"):
+            parse_matrix("SP 1\n" + rows)
 
 
 def test_omega_matrix_squares_to_minus_identity():
