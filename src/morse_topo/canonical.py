@@ -75,23 +75,30 @@ def canonical_kr_graph(
     if problems:
         raise ValueError("; ".join(problems))
     if target is Target.LINE:
-        line = _line_canonical(s, eps, c0, c2)
-        return KRGraph(Target.LINE, line.vertices, line.edges)
+        b = _line_canonical(s, eps, c0, c2)
+        vertices = [
+            KRVertex(vid, kind, vid + 1, label) for vid, (kind, label) in enumerate(b.vertices)
+        ]
+        edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(b.ends)]
+        return KRGraph(Target.LINE, vertices, edges)
     return _circle_canonical(s, eps, c0, c2, k.q)
 
 
 class _Builder:
+    """A normal form as plain lists: each vertex's (kind, label) by id and
+    each edge's (tail, head); vertex ``vid`` sits at height ``vid + 1``.
+    Graph vertices and edges are built from them once."""
+
     def __init__(self):
-        self.vertices: list[KRVertex] = []
-        self.edges: list[KREdge] = []
+        self.vertices: list[tuple[VertexKind, str | None]] = []
+        self.ends: list[tuple[int, int]] = []
 
     def vertex(self, kind: VertexKind, label: str | None = None) -> int:
-        vid = len(self.vertices)
-        self.vertices.append(KRVertex(vid, kind, Fraction(vid + 1), label))
-        return vid
+        self.vertices.append((kind, label))
+        return len(self.vertices) - 1
 
     def edge(self, tail: int, head: int):
-        self.edges.append(KREdge(len(self.edges), tail, head))
+        self.ends.append((tail, head))
 
 
 def _line_canonical(
@@ -187,27 +194,25 @@ def _circle_canonical(
     cut_eps = dict(eps)
     cut_eps[SEAM_LOWER] = -1
     cut_eps[SEAM_UPPER] = 1
-    line = _line_canonical(cut, cut_eps, c0, c2)
-
-    if len(line.edges) == 1:
+    b = _line_canonical(cut, cut_eps, c0, c2)
+    if len(b.ends) == 1:
         # nothing between the seams: the critical-point-free fibration
-        return KRGraph(
-            Target.CIRCLE, [], [KREdge(0, None, None, (Fraction(0), Fraction(1)))]
-        )
+        return KRGraph(Target.CIRCLE, [], [KREdge(0, None, None, (0, 1))])
 
-    # the seams are the first and last vertex, on the first and last edge
-    scale = Fraction(1, len(line.vertices) + 1)
-    lift = [v.height * scale for v in line.vertices]  # by vertex id
+    # the seams are the first and last vertex, on the first and last edge;
+    # vertex vid goes from height vid + 1 of n + 1 levels to (vid + 1)/(n + 1)
+    n = len(b.vertices)
+    lift = [Fraction(vid + 1, n + 1) for vid in range(n)]
     vertices = [
-        KRVertex(v.id, v.kind, lift[v.id], v.boundary_label)
-        for v in line.vertices[1:-1]
+        KRVertex(vid, kind, lift[vid], label)
+        for vid, (kind, label) in enumerate(b.vertices[1:-1], 1)
     ]
     edges = [
-        KREdge(i, e.tail, e.head, (lift[e.tail], lift[e.head]))
-        for i, e in enumerate(line.edges[1:-1])
+        KREdge(i, tail, head, (lift[tail], lift[head]))
+        for i, (tail, head) in enumerate(b.ends[1:-1])
     ]
     # the wrap edge: from the top of the chain through level 0 to the bottom
-    tail = line.edges[-1].tail
-    head = line.edges[0].head
+    tail = b.ends[-1][0]
+    head = b.ends[0][1]
     edges.append(KREdge(len(edges), tail, head, (lift[tail], lift[head] + 1)))
     return KRGraph(Target.CIRCLE, vertices, edges)

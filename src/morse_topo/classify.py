@@ -70,11 +70,13 @@ def is_realizable(s: Surface, k: CriticalType) -> bool:
 
     On top of the arithmetic identities, a line-valued function must attain
     its minimum at an interior minimum or on a negative boundary circle,
-    and symmetrically for the maximum.
+    and symmetrically for the maximum.  So must a circle-valued map with
+    q = 0: it is null-homotopic, so it lifts to a line-valued function
+    with the same critical points and boundary signs.
     """
     if validate_critical_type(s, k):
         return False
-    if k.target is Target.LINE:
+    if k.target is Target.LINE or not any(k.q):
         return (k.c0 + k.b_minus >= 1) and (k.c2 + k.b_plus >= 1)
     return True
 

@@ -8,7 +8,10 @@ mapping classes).  Bad input exits 1 with a one-line JSON error on stderr:
 ``io:`` for an unreadable file, ``format:`` for text that does not parse
 (``FormatError``), ``domain:`` for any other ``ValueError``.  Any other
 exception exits 3 with an ``internal:`` error and is logged to the
-``morse_topo`` logger; usage errors exit 2.  All output is deterministic.
+``morse_topo`` logger; usage errors exit 2, among them an integer flag
+that is not an ASCII decimal integer.  A standard output closed early (a
+pipe into ``head``) exits 1 with no error line.  All output is
+deterministic.
 
 ``main`` may be called many times in one process, and each call behaves
 like a fresh process.  The argparse tree is built once per process, and
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import sys
 
 from . import canonical, classify, krgraph, mcg, mesh, surface, symplectic
@@ -46,6 +50,12 @@ def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:
         return tuple(map(_decimal_int, parts))
     except ValueError:
         raise FormatError(f"bad {what}") from None
+
+
+def integer(text: str) -> int:
+    """The reader of the integer flags, named in argparse's usage error
+    ("invalid integer value"): an ASCII decimal integer, no ``1_0``."""
+    return _decimal_int(text)
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -96,7 +106,7 @@ def _add_surface_arguments(p: argparse.ArgumentParser):
         default=None,
         help="compact descriptor, e.g. orientable:g=2:V1:+,V2:-",
     )
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--genus", type=integer, default=None)
     p.add_argument(
         "--nonorientable", action="store_true", help="surface is non-orientable"
     )
@@ -224,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonical", help="emit the normal-form graph for a type")
     _add_surface_arguments(p)
-    p.add_argument("--c0", type=int, required=True, help="number of minima")
-    p.add_argument("--c2", type=int, required=True, help="number of maxima")
+    p.add_argument("--c0", type=integer, required=True, help="number of minima")
+    p.add_argument("--c2", type=integer, required=True, help="number of maxima")
     p.add_argument("--q", default=None, help="homotopy vector, e.g. 1,0")
 
     p = sub.add_parser(
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a stabilizer element as a word in the allowed generators",
     )
     p.add_argument("matrix", help="matrix file ('SP <g>' header plus rows)")
-    p.add_argument("--g", type=int, default=None, help="expected genus (checked)")
+    p.add_argument("--g", type=integer, default=None, help="expected genus (checked)")
 
     p = sub.add_parser("admissible", help="test a Dehn twist against a map class")
     p.add_argument("--q", required=True, help="cohomology vector of the map")
@@ -255,7 +265,14 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     code = 1
     try:
-        return command(args)
+        status = command(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # as the Python docs advise on SIGPIPE: send what is left in the
+        # buffer to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         message = str(exc)
     except (FormatError, UnicodeDecodeError) as exc:  # not UTF-8: not parseable either

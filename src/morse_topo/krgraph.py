@@ -4,7 +4,8 @@ Vertices carry a kind (extremum, ordinary saddle, degree-two saddle, or
 boundary circle) and an exact rational height; edges are oriented by
 increasing height.  For circle-valued maps each edge also carries a lift of
 its height interval to the real line, so winding is explicit and cutting at
-a regular level is exact.
+a regular level is exact.  Heights and lift ends are ``int`` when given as
+``int`` and ``Fraction`` otherwise.
 
 A graph for the critical-point-free fibration of the torus (or Klein
 bottle) over the circle has no vertices at all; it is represented by a
@@ -13,8 +14,10 @@ winding number.
 """
 from __future__ import annotations
 
+import collections
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -35,8 +38,10 @@ class VertexKind(enum.Enum):
     STAR2 = "Star2"
     BOUNDARY = "BoundaryCircle"
 
+    # members are singletons compared by identity, so hashing by identity
+    # agrees with equality; it runs in C, where Enum's hashes the name
+    __hash__ = object.__hash__
 
-_CRITICAL_KINDS = {VertexKind.MIN, VertexKind.MAX, VertexKind.SADDLE3, VertexKind.STAR2}
 
 _DEGREE = {
     VertexKind.MIN: 1,
@@ -46,17 +51,24 @@ _DEGREE = {
     VertexKind.BOUNDARY: 1,
 }
 
+# (numerator, denominator) of an int or a Fraction, in lowest terms with a
+# positive denominator, so equal values give equal pairs
+_parts = operator.attrgetter("numerator", "denominator")
+_kind = operator.attrgetter("kind")
 
-def _exact(x) -> Fraction:
-    """``x`` as a ``Fraction``; a ``Fraction`` is kept as the same object."""
-    return x if type(x) is Fraction else Fraction(x)
+
+def _exact(x) -> int | Fraction:
+    """``x`` as an exact number: an ``int`` or a ``Fraction`` is kept as the
+    same object, anything else (a ``bool``, a ``float``, ...) becomes a
+    ``Fraction``."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
 class KRVertex:
     id: int
     kind: VertexKind
-    height: Fraction
+    height: int | Fraction
     boundary_label: str | None = None
 
     def __post_init__(self):
@@ -77,7 +89,7 @@ class KREdge:
     id: int
     tail: int | None
     head: int | None
-    lift: tuple[Fraction, Fraction] | None = None
+    lift: tuple[int | Fraction, int | Fraction] | None = None
 
     def __post_init__(self):
         if self.lift is not None:
@@ -118,39 +130,40 @@ class KRGraph:
 
     def counts(self) -> tuple[int, int, int]:
         """(c0, c1, c2): minima, saddles of both kinds, maxima."""
-        c0 = c1 = c2 = 0
-        for v in self.vertices.values():
-            if v.kind is VertexKind.MIN:
-                c0 += 1
-            elif v.kind is VertexKind.MAX:
-                c2 += 1
-            elif v.kind in (VertexKind.SADDLE3, VertexKind.STAR2):
-                c1 += 1
-        return c0, c1, c2
+        kinds = collections.Counter(map(_kind, self.vertices.values()))
+        return (
+            kinds[VertexKind.MIN],
+            kinds[VertexKind.SADDLE3] + kinds[VertexKind.STAR2],
+            kinds[VertexKind.MAX],
+        )
 
     def has_star(self) -> bool:
-        return any(v.kind is VertexKind.STAR2 for v in self.vertices.values())
+        return VertexKind.STAR2 in map(_kind, self.vertices.values())
 
     def is_free_loop(self) -> bool:
         return not self.vertices and len(self.edges) == 1
 
-    def boundary_signs(self) -> dict[int, int]:
-        """Per boundary vertex, +1 when the surface lies below its circle and
-        -1 above, from one pass over the edges."""
-        signs: dict[int, int] = {}
-        for e in self.edges:
-            for vid, sign in ((e.head, 1), (e.tail, -1)):
-                v = self.vertices.get(vid)
-                if v is not None and v.kind is VertexKind.BOUNDARY:
-                    signs.setdefault(vid, sign)
-        return signs
+    def boundary_signs(self) -> dict[str, int]:
+        """Per boundary label, +1 when the surface lies below its circle and
+        -1 above.  A boundary vertex has one edge, so it is that edge's head
+        exactly when the surface lies below it."""
+        heads = {e.head for e in self.edges}
+        return {
+            v.boundary_label: 1 if vid in heads else -1
+            for vid, v in self.vertices.items()
+            if v.kind is VertexKind.BOUNDARY
+        }
 
     # -- validation ----------------------------------------------------------
 
-    def _edge_endpoint_heights(self, e: KREdge) -> tuple[Fraction, Fraction]:
-        return self.vertices[e.tail].height, self.vertices[e.head].height
-
     def _validate(self):
+        """Check the graph in one pass over the edges, which also lists each
+        vertex's neighbours, and a few over the vertices.  Line heights are
+        compared as they are; circle heights and lifts, and the critical
+        heights' distinctness, go through (numerator, denominator) pairs.
+        So no check does ``Fraction`` arithmetic, and integer heights make
+        no ``Fraction`` call at all."""
+        vertices = self.vertices
         if self.is_free_loop():
             e = self.edges[0]
             if self.target is not Target.CIRCLE or e.tail is not None or e.head is not None:
@@ -159,83 +172,76 @@ class KRGraph:
             if hi <= lo or (hi - lo).denominator != 1:
                 raise ValueError("free loop winding must be a positive integer")
             return
-        degree = dict.fromkeys(self.vertices, 0)
+        line = self.target is Target.LINE
+        adjacent: dict[int, list[int]] = {vid: [] for vid in vertices}
         for e in self.edges:
-            if e.tail is None or e.head is None:
+            tail, head = e.tail, e.head
+            if tail is None or head is None:
                 raise ValueError("only a single free loop may omit endpoints")
-            if e.tail not in self.vertices or e.head not in self.vertices:
+            if tail not in adjacent or head not in adjacent:
                 raise ValueError(f"edge {e.id} references unknown vertices")
-            degree[e.tail] += 1
-            degree[e.head] += 1
-            if self.target is Target.LINE:
+            adjacent[tail].append(head)
+            adjacent[head].append(tail)
+            low, high = vertices[tail].height, vertices[head].height
+            if line:
                 if e.lift is not None:
                     raise ValueError("Line-target edges carry no lift")
-                lo, hi = self._edge_endpoint_heights(e)
-                if not lo < hi:
+                if not low < high:
                     raise ValueError(f"edge {e.id} must increase in height")
-            else:
-                if e.lift is None:
-                    raise ValueError("Circle-target edges need a lift interval")
-                lo, hi = e.lift
-                if not lo < hi:
-                    raise ValueError(f"edge {e.id} lift must be increasing")
-                tl, hd = self._edge_endpoint_heights(e)
-                if (lo - tl).denominator != 1 or (hi - hd).denominator != 1:
-                    raise ValueError(
-                        f"edge {e.id} lift endpoints must lift the vertex heights"
-                    )
-        if self.target is Target.CIRCLE:
-            for v in self.vertices.values():
-                if not 0 <= v.height < 1:
+                continue
+            if e.lift is None:
+                raise ValueError("Circle-target edges need a lift interval")
+            (ln, ld), (hn, hd) = map(_parts, e.lift)
+            if not ln * hd < hn * ld:
+                raise ValueError(f"edge {e.id} lift must be increasing")
+            # two reduced fractions differ by an integer exactly when they
+            # share a denominator and their numerators agree modulo it
+            (tn, td), (un, ud) = _parts(low), _parts(high)
+            if ld != td or hd != ud or (ln - tn) % ld or (hn - un) % hd:
+                raise ValueError(
+                    f"edge {e.id} lift endpoints must lift the vertex heights"
+                )
+        if not line:
+            for v in vertices.values():
+                n, d = _parts(v.height)
+                if not 0 <= n < d:
                     raise ValueError("Circle-target heights live in [0, 1)")
-        for v in self.vertices.values():
-            d = degree[v.id]
+        for vid, v in vertices.items():
+            d = len(adjacent[vid])
             if d != _DEGREE[v.kind]:
                 raise ValueError(
-                    f"vertex {v.id} ({v.kind.value}) has degree {d}, "
+                    f"vertex {vid} ({v.kind.value}) has degree {d}, "
                     f"expected {_DEGREE[v.kind]}"
                 )
-        crit_heights = [
-            v.height for v in self.vertices.values() if v.kind in _CRITICAL_KINDS
+        critical = [
+            _parts(v.height) for v in vertices.values() if v.kind is not VertexKind.BOUNDARY
         ]
-        if len(set(crit_heights)) != len(crit_heights):
+        if len(set(critical)) != len(critical):
             raise ValueError("critical vertices must have pairwise distinct heights")
         labels = self.boundary_labels()
         if len(set(labels)) != len(labels):
             raise ValueError("boundary labels must be distinct")
-        if self.vertices and not self._connected():
-            raise ValueError("graph must be connected")
-
-    def _connected(self) -> bool:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        if vertices:
+            start = next(iter(vertices))
+            seen = {start}
+            stack = [start]
+            while stack:
+                for w in adjacent[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(vertices):
+                raise ValueError("graph must be connected")
 
 
 def critical_type_of(graph: KRGraph, s: Surface, q: Sequence[int]) -> CriticalType:
     """Read the critical type off a graph, attaching the homotopy vector q."""
-    if graph.has_star() and s.orientable:
+    if s.orientable and graph.has_star():
         raise ValueError("degree-two saddles require a non-orientable surface")
-    if set(graph.boundary_labels()) != set(s.boundary):
+    eps = graph.boundary_signs()
+    if eps.keys() != set(s.boundary):
         raise ValueError("graph boundary labels do not match the surface")
-    c0, c1, c2 = graph.counts()
-    signs = graph.boundary_signs()
-    eps = {
-        v.boundary_label: signs[v.id]
-        for v in graph.vertices.values()
-        if v.kind is VertexKind.BOUNDARY
-    }
-    k = CriticalType(graph.target, q, c0, c1, c2, eps)
+    k = CriticalType(graph.target, q, *graph.counts(), eps)
     problems = validate_critical_type(s, k)
     if problems:
         raise ValueError("; ".join(problems))
@@ -274,8 +280,8 @@ def regular_fiber_components(graph: KRGraph, c) -> int:
     c = Fraction(c)
     _require_regular(graph, c)
     if graph.target is Target.LINE:
-        heights = map(graph._edge_endpoint_heights, graph.edges)
-        return sum(lo < c < hi for lo, hi in heights)
+        vs = graph.vertices
+        return sum(vs[e.tail].height < c < vs[e.head].height for e in graph.edges)
     return sum(len(_level_range(e, c)) for e in graph.edges)
 
 
@@ -427,37 +433,30 @@ def kr_isomorphic(a: KRGraph, b: KRGraph) -> bool:
     return order(a) == order(b)
 
 
-_DOT_SHAPE = {
-    VertexKind.MIN: "point",
-    VertexKind.MAX: "point",
-    VertexKind.SADDLE3: "triangle",
-    VertexKind.STAR2: "star",
-    VertexKind.BOUNDARY: "doublecircle",
+# each vertex's DOT attributes start with its kind's shape and name
+_DOT_KIND = {
+    kind: f'shape={shape}, kind="{kind.value}"'
+    for kind, shape in (
+        (VertexKind.MIN, "point"),
+        (VertexKind.MAX, "point"),
+        (VertexKind.SADDLE3, "triangle"),
+        (VertexKind.STAR2, "star"),
+        (VertexKind.BOUNDARY, "doublecircle"),
+    )
 }
 
 
 def to_dot(graph: KRGraph) -> str:
     """Deterministic GraphViz DOT rendering of a graph."""
-    lines = ["digraph kr {"]
-    lines.append(f'  graph [target="{graph.target.value}"];')
-    for vid in sorted(graph.vertices):
-        v = graph.vertices[vid]
-        attrs = [
-            f"shape={_DOT_SHAPE[v.kind]}",
-            f'kind="{v.kind.value}"',
-            f'height="{v.height}"',
-        ]
-        if v.boundary_label is not None:
-            attrs.append(f'boundary="{v.boundary_label}"')
-        lines.append(f"  v{vid} [{', '.join(attrs)}];")
-    for e in sorted(graph.edges, key=lambda e: e.id):
-        attrs = [f"id={e.id}"]
-        if e.lift is not None:
-            attrs.append(f'lift="{e.lift[0]}:{e.lift[1]}"')
-        tail = f"v{e.tail}" if e.tail is not None else "loop"
-        head = f"v{e.head}" if e.head is not None else "loop"
-        if e.tail is None:
-            lines.append('  loop [shape=none, label=""];')
-        lines.append(f"  {tail} -> {head} [{', '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["digraph kr {", f'  graph [target="{graph.target.value}"];']
+    for vid, v in sorted(graph.vertices.items()):
+        label = "" if v.boundary_label is None else f', boundary="{v.boundary_label}"'
+        lines.append(f'  v{vid} [{_DOT_KIND[v.kind]}, height="{v.height}"{label}];')
+    for e in sorted(graph.edges, key=operator.attrgetter("id")):
+        lift = "" if e.lift is None else f', lift="{e.lift[0]}:{e.lift[1]}"'
+        if e.tail is None:  # a free loop has no endpoints
+            lines += '  loop [shape=none, label=""];', f"  loop -> loop [id={e.id}{lift}];"
+        else:
+            lines.append(f"  v{e.tail} -> v{e.head} [id={e.id}{lift}];")
+    lines.append("}\n")
+    return "\n".join(lines)

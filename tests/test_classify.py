@@ -110,6 +110,21 @@ def test_is_realizable_needs_attainable_extrema():
     assert not is_realizable(holed, CriticalType(Target.LINE, (0, 0), 0, 1, 0, {"V1": -1}))
 
 
+def test_is_realizable_null_homotopic_circle_needs_extrema():
+    # q = 0: the map lifts to the line, so the line rule holds
+    torus = Surface(True, 1)
+    assert not is_realizable(torus, CriticalType(Target.CIRCLE, (0, 0), 0, 0, 0))
+    annulus = Surface(True, 0, ("a", "b"))
+    both_up = CriticalType(Target.CIRCLE, (), 0, 0, 0, {"a": 1, "b": 1})
+    assert not is_realizable(annulus, both_up)
+    # an extremum at each end: a minimum inside, the surface below "b"
+    assert is_realizable(annulus, CriticalType(Target.CIRCLE, (), 1, 1, 0, {"a": 1, "b": 1}))
+    assert is_realizable(annulus, CriticalType(Target.CIRCLE, (), 0, 0, 0, {"a": -1, "b": 1}))
+    assert is_realizable(torus, CriticalType(Target.CIRCLE, (0, 0), 1, 2, 1))
+    # a non-zero q needs no extremum
+    assert is_realizable(torus, CriticalType(Target.CIRCLE, (1, 0), 0, 0, 0))
+
+
 def _half(side, genus, labels_out, labels_cut, c0, c2, extra=()):
     outer_sign = -1 if side == "lower" else 1
     eps = {l: outer_sign for l in labels_out}

@@ -685,6 +685,41 @@ def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 
 
+# each integer flag, with the other arguments its subcommand needs
+INTEGER_FLAGS = {
+    "--genus": ["generators", "--genus", "{}"],
+    "--c0": ["canonical", "--genus", "1", "--c0", "{}", "--c2", "1"],
+    "--c2": ["canonical", "--genus", "1", "--c0", "1", "--c2", "{}"],
+    "--g": ["sp-decompose", "--g", "{}", "missing.sp"],
+}
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+@pytest.mark.parametrize("value", ["1_0", "١", "1.0", ""])
+def test_integer_flags_take_only_ascii_decimals(flag, value, capsys):
+    argv = [arg.replace("{}", value) for arg in INTEGER_FLAGS[flag]]
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid integer value: {value!r}\n")
+    # a sign and ASCII digits still read as before
+    code, out, _ = _in_process([arg.replace("{}", "+1") for arg in INTEGER_FLAGS[flag]], capsys)
+    assert code != 2
+
+
+def test_closed_stdout_ends_quietly():
+    # the catalogue at genus 300 is about 1.2 MB, far more than a pipe
+    # holds, so the writer is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "morse_topo.cli", "generators", "--genus", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"kind":"o'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
 def test_checks_survive_optimised_mode(tmp_path):
     mesh = tmp_path / "klein.hmesh"
     mesh.write_text(format_hmesh(meshes.klein_square()))

@@ -82,14 +82,26 @@ def seams(piece):
 
 
 def test_heights_and_lifts_are_exact():
-    v = KRVertex(0, VertexKind.MIN, 3)
-    assert type(v.height) is F and v.height == 3
+    # an int or a Fraction is kept as the same object; anything else
+    # becomes a Fraction
+    assert KRVertex(0, VertexKind.MIN, 3).height == 3
+    assert type(KRVertex(0, VertexKind.MIN, 3).height) is int
     e = KREdge(0, 0, 1, [F(1, 4), F(3, 4)])
     assert type(e.lift) is tuple and e.lift == (F(1, 4), F(3, 4))
-    assert type(KREdge(0, 0, 1, (0, 1)).lift[1]) is F
+    assert list(map(type, KREdge(0, 0, 1, (0, F(1))).lift)) == [int, F]
     h = F(1, 3)
     assert KRVertex(0, VertexKind.MIN, h).height is h
     assert KREdge(0, 0, 1, (h, h + 1)).lift[0] is h
+    for value, exact in ((True, F(1)), (0.5, F(1, 2))):
+        height = KRVertex(0, VertexKind.MIN, value).height
+        assert type(height) is F and height == exact
+        assert list(map(type, KREdge(0, 0, 1, (value, 2)).lift)) == [F, int]
+    # the graph's checks and its DOT text do not depend on the type
+    as_ints = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
+    vs = [KRVertex(v.id, v.kind, F(v.height)) for v in as_ints.vertices.values()]
+    as_fractions = KRGraph(Target.LINE, vs, as_ints.edges)
+    assert {type(v.height) for v in as_ints.vertices.values()} == {int}
+    assert to_dot(as_fractions) == to_dot(as_ints)
 
 
 def test_degree_validation():
@@ -120,6 +132,46 @@ def test_validation_is_linear_at_genus_400():
         assert (len(g.vertices), len(g.edges)) == (1610, 2009)
         assert len(g.boundary_labels()) == 400
     assert elapsed < 0.25, f"validating two genus-400 graphs took {elapsed:.2f}s"
+
+
+FRACTION_METHODS = (
+    "__new__", "__str__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+    "__pos__", "__abs__", "__floor__", "__ceil__", "__round__", "__trunc__",
+)
+
+
+def test_genus_400_forms_make_few_fraction_calls(monkeypatch):
+    # the machine-independent budget beside the time bound above: integer
+    # heights stay ``int``, and circle heights and lifts are checked through
+    # their numerators and denominators.  When every height was a
+    # Fraction, these calls made 9,658 Fraction calls on the line form and
+    # 39,417 on the circle form.
+    labels = tuple(f"B{i:03d}" for i in range(400))
+    s = Surface(True, 400, labels)
+    eps = {label: 1 if i % 2 else -1 for i, label in enumerate(labels)}
+    calls = 0
+    for name in FRACTION_METHODS:
+        method = getattr(F, name)
+
+        def counted(*args, method=method, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(F, name, staticmethod(counted) if name == "__new__" else counted)
+    for q, target in (((0,) * 800, Target.LINE), ((1,) + (0,) * 799, Target.CIRCLE)):
+        calls = 0
+        g = canonical_kr_graph(s, eps, 3, 3, q, target)
+        KRGraph(g.target, g.vertices.values(), g.edges)
+        to_dot(g)
+        critical_type_of(g, s, q)
+        size = len(g.vertices) + len(g.edges)
+        assert size == 1610 + 2009
+        assert calls <= (0 if target is Target.LINE else 4 * size), (target, calls)
+    assert calls > 0  # circle heights are Fractions, so the counter counts
 
 
 def test_height_direction_validation():
@@ -367,8 +419,32 @@ REJECTIONS = {
         lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1, (F(1, 4), F(1, 2)))]),
         "edge 0 lift endpoints must lift the vertex heights",
     ),
+    "lift-off-by-a-half": (
+        lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1, (F(3, 4), F(7, 4)))]),
+        "edge 0 lift endpoints must lift the vertex heights",
+    ),
+    "empty-lift": (
+        lambda: KRGraph(Target.CIRCLE, CIRCLE_PAIR, [KREdge(0, 0, 1, (F(3, 4), F(3, 4)))]),
+        "edge 0 lift must be increasing",
+    ),
     "circle-height": (
         lambda: KRGraph(Target.CIRCLE, OUTSIDE_PAIR, [KREdge(0, 0, 1, (F(1, 4), F(5, 4)))]),
+        "Circle-target heights live in [0, 1)",
+    ),
+    "negative-circle-height": (
+        lambda: KRGraph(
+            Target.CIRCLE,
+            [KRVertex(0, VertexKind.MIN, F(-1, 4)), KRVertex(1, VertexKind.MAX, F(3, 4))],
+            [KREdge(0, 0, 1, (F(-1, 4), F(3, 4)))],
+        ),
+        "Circle-target heights live in [0, 1)",
+    ),
+    "circle-height-one": (
+        lambda: KRGraph(
+            Target.CIRCLE,
+            [KRVertex(0, VertexKind.MIN, F(1, 2)), KRVertex(1, VertexKind.MAX, 1)],
+            [KREdge(0, 0, 1, (F(1, 2), 1))],
+        ),
         "Circle-target heights live in [0, 1)",
     ),
     "duplicate-labels": (

@@ -759,8 +759,13 @@ def test_extraction_compares_few_fractions(monkeypatch):
     # Fractions themselves only in the check that event heights differ and
     # when the graph checks its edges, so the count follows the graph, not
     # the mesh.  Sorting the Fractions made about 5,900 comparisons on the
-    # 24 x 24 torus.
-    texts = [format_hmesh(meshes.baseline_torus(n, 1)) for n in (24, 40)]
+    # 24 x 24 torus.  Integer heights stay ``int`` into the graph and make
+    # no Fraction call at all, so every height here is a half-integer.
+    texts = []
+    for n in (24, 40):
+        m = meshes.baseline_torus(n, 1)
+        heights = tuple(F(2 * h + 1, 2) for h in m.heights)
+        texts.append(format_hmesh(HeightMesh(True, heights, m.triangles)))
     calls = 0
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
         method = getattr(F, name)
