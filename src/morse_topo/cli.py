@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import logging
 import os
 import sys
@@ -198,12 +199,22 @@ def _sparse_vector_json(n: int, entries) -> str:
     return "[" + "".join(parts)[:-1] + "]"
 
 
+# the fixed text of a catalogue line before its name, per kind, and after
+# its class, per verdict; strings are escaped by the C escaper that
+# ``_json_line`` uses, so a line is the bytes ``_json_line`` would write
+_json_string = json.encoder.encode_basestring_ascii
+_LINE_HEAD = {k: f'{{"kind":{_json_string(k.value)},"name":' for k in mcg.GeneratorKind}
+_LINE_TAIL = {a: f',"admissible":{_json_string(a.value)}}}\n' for a in mcg.Admissible}
+
+
 def _generator_line(g: mcg.MCGGenerator) -> str:
     """One catalogue line: the generator's fields as one JSON object."""
-    head = _json_line({"kind": g.kind.value, "name": g.name, "curve": g.curve})
+    curve = "null" if g.curve is None else _json_string(g.curve)
     cls = "null" if g.sparse_class is None else _sparse_vector_json(*g.sparse_class)
-    tail = _json_line(g.admissible.value)
-    return f'{head[:-1]},"curve_class":{cls},"admissible":{tail}}}\n'
+    return (
+        f'{_LINE_HEAD[g.kind]}{_json_string(g.name)},"curve":{curve},'
+        f'"curve_class":{cls}{_LINE_TAIL[g.admissible]}'
+    )
 
 
 def cmd_generators(args) -> int:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import collections
 import enum
+import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .surface import CriticalType, Surface, Target, validate_critical_type
 
@@ -55,6 +56,8 @@ _DEGREE = {
 # positive denominator, so equal values give equal pairs
 _parts = operator.attrgetter("numerator", "denominator")
 _kind = operator.attrgetter("kind")
+_id = operator.attrgetter("id")
+_head = operator.attrgetter("head")
 
 
 def _exact(x) -> int | Fraction:
@@ -64,37 +67,62 @@ def _exact(x) -> int | Fraction:
     return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
-@dataclass(frozen=True)
-class KRVertex:
+class _KRVertex(NamedTuple):
     id: int
     kind: VertexKind
     height: int | Fraction
     boundary_label: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "height", _exact(self.height))
-        if (self.kind is VertexKind.BOUNDARY) != (self.boundary_label is not None):
+
+class KRVertex(_KRVertex):
+    """A vertex, as an immutable tuple record ``(id, kind, height,
+    boundary_label)``: it unpacks, and it compares equal to the plain tuple
+    of its fields.  Construction, ``_make`` and ``_replace`` all make the
+    height exact and require a boundary label exactly on ``BOUNDARY``
+    vertices."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, kind, height, boundary_label=None):
+        height = _exact(height)
+        if (kind is VertexKind.BOUNDARY) != (boundary_label is not None):
             raise ValueError("boundary label exactly on BoundaryCircle vertices")
+        return tuple.__new__(cls, (id, kind, height, boundary_label))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class KREdge:
-    """Oriented edge from ``tail`` (lower) to ``head`` (higher).
-
-    For circle targets ``lift`` is the edge's height interval on the real
-    line, congruent mod 1 to the endpoint heights.  A free loop has
-    ``tail is None and head is None`` and an integer-length lift.
-    """
-
+class _KREdge(NamedTuple):
     id: int
     tail: int | None
     head: int | None
     lift: tuple[int | Fraction, int | Fraction] | None = None
 
-    def __post_init__(self):
-        if self.lift is not None:
-            lo, hi = self.lift
-            object.__setattr__(self, "lift", (_exact(lo), _exact(hi)))
+
+class KREdge(_KREdge):
+    """Oriented edge from ``tail`` (lower) to ``head`` (higher), as an
+    immutable tuple record ``(id, tail, head, lift)``: it unpacks, and it
+    compares equal to the plain tuple of its fields.
+
+    For circle targets ``lift`` is the edge's height interval on the real
+    line, congruent mod 1 to the endpoint heights; construction, ``_make``
+    and ``_replace`` store it as a pair of exact numbers.  A free loop has
+    ``tail is None and head is None`` and an integer-length lift.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id, tail, head, lift=None):
+        if lift is not None:
+            lo, hi = lift
+            lift = (_exact(lo), _exact(hi))
+        return tuple.__new__(cls, (id, tail, head, lift))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class KRGraph:
@@ -113,9 +141,10 @@ class KRGraph:
         self.target = target
         self.vertices: dict[int, KRVertex] = {}
         for v in vertices:
-            if v.id in self.vertices:
-                raise ValueError(f"duplicate vertex id {v.id}")
-            self.vertices[v.id] = v
+            vid = v.id
+            if vid in self.vertices:
+                raise ValueError(f"duplicate vertex id {vid}")
+            self.vertices[vid] = v
         self.edges: list[KREdge] = list(edges)
         self._validate()
 
@@ -145,13 +174,14 @@ class KRGraph:
 
     def boundary_signs(self) -> dict[str, int]:
         """Per boundary label, +1 when the surface lies below its circle and
-        -1 above.  A boundary vertex has one edge, so it is that edge's head
-        exactly when the surface lies below it."""
-        heads = {e.head for e in self.edges}
+        -1 above.  Boundary vertices are the labelled ones; each has one
+        edge, so it is that edge's head exactly when the surface lies below
+        it."""
+        heads = set(map(_head, self.edges))
         return {
-            v.boundary_label: 1 if vid in heads else -1
-            for vid, v in self.vertices.items()
-            if v.kind is VertexKind.BOUNDARY
+            label: 1 if vid in heads else -1
+            for vid, _, _, label in self.vertices.values()
+            if label is not None
         }
 
     # -- validation ----------------------------------------------------------
@@ -174,51 +204,52 @@ class KRGraph:
             return
         line = self.target is Target.LINE
         adjacent: dict[int, list[int]] = {vid: [] for vid in vertices}
-        for e in self.edges:
-            tail, head = e.tail, e.head
+        for eid, tail, head, lift in self.edges:
             if tail is None or head is None:
                 raise ValueError("only a single free loop may omit endpoints")
             if tail not in adjacent or head not in adjacent:
-                raise ValueError(f"edge {e.id} references unknown vertices")
+                raise ValueError(f"edge {eid} references unknown vertices")
             adjacent[tail].append(head)
             adjacent[head].append(tail)
             low, high = vertices[tail].height, vertices[head].height
             if line:
-                if e.lift is not None:
+                if lift is not None:
                     raise ValueError("Line-target edges carry no lift")
                 if not low < high:
-                    raise ValueError(f"edge {e.id} must increase in height")
+                    raise ValueError(f"edge {eid} must increase in height")
                 continue
-            if e.lift is None:
+            if lift is None:
                 raise ValueError("Circle-target edges need a lift interval")
-            (ln, ld), (hn, hd) = map(_parts, e.lift)
+            (ln, ld), (hn, hd) = map(_parts, lift)
             if not ln * hd < hn * ld:
-                raise ValueError(f"edge {e.id} lift must be increasing")
+                raise ValueError(f"edge {eid} lift must be increasing")
             # two reduced fractions differ by an integer exactly when they
             # share a denominator and their numerators agree modulo it
             (tn, td), (un, ud) = _parts(low), _parts(high)
             if ld != td or hd != ud or (ln - tn) % ld or (hn - un) % hd:
                 raise ValueError(
-                    f"edge {e.id} lift endpoints must lift the vertex heights"
+                    f"edge {eid} lift endpoints must lift the vertex heights"
                 )
         if not line:
             for v in vertices.values():
                 n, d = _parts(v.height)
                 if not 0 <= n < d:
                     raise ValueError("Circle-target heights live in [0, 1)")
-        for vid, v in vertices.items():
+        critical = []
+        labels = []
+        for vid, kind, height, label in vertices.values():
             d = len(adjacent[vid])
-            if d != _DEGREE[v.kind]:
+            if d != _DEGREE[kind]:
                 raise ValueError(
-                    f"vertex {vid} ({v.kind.value}) has degree {d}, "
-                    f"expected {_DEGREE[v.kind]}"
+                    f"vertex {vid} ({kind.value}) has degree {d}, "
+                    f"expected {_DEGREE[kind]}"
                 )
-        critical = [
-            _parts(v.height) for v in vertices.values() if v.kind is not VertexKind.BOUNDARY
-        ]
+            if kind is VertexKind.BOUNDARY:
+                labels.append(label)
+            else:
+                critical.append(_parts(height))
         if len(set(critical)) != len(critical):
             raise ValueError("critical vertices must have pairwise distinct heights")
-        labels = self.boundary_labels()
         if len(set(labels)) != len(labels):
             raise ValueError("boundary labels must be distinct")
         if vertices:
@@ -446,17 +477,23 @@ _DOT_KIND = {
 }
 
 
+# a DOT string in double quotes, with '"', '\\' and control characters
+# escaped and any other character kept
+_dot_quote = json.encoder.encode_basestring
+
+
 def to_dot(graph: KRGraph) -> str:
     """Deterministic GraphViz DOT rendering of a graph."""
     lines = ["digraph kr {", f'  graph [target="{graph.target.value}"];']
-    for vid, v in sorted(graph.vertices.items()):
-        label = "" if v.boundary_label is None else f', boundary="{v.boundary_label}"'
-        lines.append(f'  v{vid} [{_DOT_KIND[v.kind]}, height="{v.height}"{label}];')
-    for e in sorted(graph.edges, key=operator.attrgetter("id")):
-        lift = "" if e.lift is None else f', lift="{e.lift[0]}:{e.lift[1]}"'
-        if e.tail is None:  # a free loop has no endpoints
-            lines += '  loop [shape=none, label=""];', f"  loop -> loop [id={e.id}{lift}];"
+    # vertex ids are distinct, so records sort by id alone
+    for vid, kind, height, label in sorted(graph.vertices.values()):
+        label = "" if label is None else f", boundary={_dot_quote(label)}"
+        lines.append(f'  v{vid} [{_DOT_KIND[kind]}, height="{height}"{label}];')
+    for eid, tail, head, lift in sorted(graph.edges, key=_id):
+        lift = "" if lift is None else f', lift="{lift[0]}:{lift[1]}"'
+        if tail is None:  # a free loop has no endpoints
+            lines += '  loop [shape=none, label=""];', f"  loop -> loop [id={eid}{lift}];"
         else:
-            lines.append(f"  v{e.tail} -> v{e.head} [id={e.id}{lift}];")
+            lines.append(f"  v{tail} -> v{head} [id={eid}{lift}];")
     lines.append("}\n")
     return "\n".join(lines)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .surface import Surface, Target, _int_vector
 from .symplectic import (
@@ -79,10 +78,12 @@ class Admissible(enum.Enum):
     YES_VIA_WORD = "YesViaWord"
 
 
-@dataclass(frozen=True)
-class MCGGenerator:
-    """A catalogue entry.  ``sparse_class`` is a twist curve's homology class as
-    its length 2g and its at most two non-zero ``(index, value)`` entries, or None."""
+class MCGGenerator(NamedTuple):
+    """A catalogue entry, as an immutable tuple record ``(kind, name,
+    admissible, curve, sparse_class)``: it unpacks, and it compares equal to
+    the plain tuple of its fields.  ``sparse_class`` is a twist curve's
+    homology class as its length 2g and its at most two non-zero ``(index,
+    value)`` entries, or None."""
 
     kind: GeneratorKind
     name: str

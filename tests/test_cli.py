@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import meshes
+from morse_topo import mcg
 from morse_topo.mesh import format_hmesh
 from morse_topo.symplectic import evaluate, format_matrix, gen, parse_word
 
@@ -41,6 +43,39 @@ def test_reeb_emits_dot_and_ktype(sphere_file):
 
 def test_reeb_output_is_deterministic(sphere_file):
     assert run_cli("reeb", sphere_file).stdout == run_cli("reeb", sphere_file).stdout
+
+
+# a DOT vertex line; its boundary label, if any, is one quoted string
+# whose quotes and backslashes are all escaped
+DOT_VERTEX = re.compile(
+    r'  v\d+ \[shape=\w+, kind="\w+", height="[^"\\]*"(?:, boundary=("(?:[^"\\]|\\.)*"))?\];'
+)
+ODD_LABELS = ('a"b', "c\\d", "e\\", "f g", "h\x01", "höhe")
+
+
+def _dot_labels(dot):
+    """The boundary labels of a DOT text's vertex lines, decoded."""
+    lines = [l for l in dot.splitlines() if l.startswith("  v") and " -> " not in l]
+    matches = [DOT_VERTEX.fullmatch(l) for l in lines]
+    assert all(matches), lines
+    return [json.loads(m[1]) for m in matches if m[1] is not None]
+
+
+def test_dot_boundary_labels_are_quoted(tmp_path, capsys):
+    # canonical: every label on one surface; non-ASCII is written as it is
+    boundary = ",".join(f"{l}:{'+-'[i % 2]}" for i, l in enumerate(ODD_LABELS))
+    code, out, _ = _in_process(["canonical", "--genus", "0", "--boundary", boundary, "--c0", "0", "--c2", "0"], capsys)
+    assert code == 0
+    assert sorted(_dot_labels(out)) == sorted(ODD_LABELS)
+    assert 'boundary="höhe"' in out
+    # reeb: HMESH labels hold no whitespace, so the cylinder takes them in pairs
+    for bottom, top in (('a"b', "c\\d"), ("e\\", "h\x01"), ("höhe", "top")):
+        path = tmp_path / "odd.hmesh"
+        text = CYLINDER.replace("b bottom", f"b {bottom}").replace("b top", f"b {top}")
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = _in_process(["reeb", str(path)], capsys)
+        assert code == 0
+        assert sorted(_dot_labels(out)) == sorted((bottom, top))
 
 
 def test_reeb_missing_file_is_io_error():
@@ -298,7 +333,7 @@ def test_generators_output_matches_whole_line_encoding(capsys):
     mixed = {f"B{i}": 1 if i % 3 else -1 for i in range(40)}
     boundaries = [{}, {"V": 1}, {"V": -1}, {"V1": 1, "V2": -1, "V3": -1}, mixed]
     runs = 0
-    for genus in (0, 1, 2, 3, 4, 50, 400):
+    for genus in (0, 1, 2, 3, 4, 5, 40, 50, 400):
         for orientable in (True, False):
             for target in ("Line", "Circle"):
                 for eps in boundaries if genus < 400 else (boundaries[0], mixed):
@@ -310,7 +345,30 @@ def test_generators_output_matches_whole_line_encoding(capsys):
                     expected = _generators_oracle(genus, orientable, target, eps)
                     assert _in_process(argv, capsys) == expected, argv
                     runs += expected[0] == 0
-    assert runs > 80
+    assert runs > 100
+
+
+@given(
+    kind=st.sampled_from(list(mcg.GeneratorKind)),
+    name=st.text(),
+    admissible=st.sampled_from(list(mcg.Admissible)),
+    curve=st.none() | st.text(),
+)
+@example(mcg.GeneratorKind.DEHN_TWIST, 'a"b\\c\u00e9\x01\u2028\U0001f600', mcg.Admissible.NO, "\\")
+def test_generator_line_escapes_as_the_encoder(kind, name, admissible, curve):
+    """Names and curves with quotes, backslashes, control and non-ASCII
+    characters, which no catalogue holds, are escaped as ``_json_line`` does."""
+    from morse_topo import cli
+
+    g = mcg.MCGGenerator(kind, name, admissible, curve, None if curve is None else (3, ((1, -2),)))
+    expected = {
+        "kind": kind.value,
+        "name": name,
+        "curve": curve,
+        "curve_class": g.curve_class and list(g.curve_class),
+        "admissible": admissible.value,
+    }
+    assert cli._generator_line(g) == cli._json_line(expected) + "\n"
 
 
 def test_generators_never_builds_a_dense_class(capsys, monkeypatch):

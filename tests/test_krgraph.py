@@ -104,6 +104,35 @@ def test_heights_and_lifts_are_exact():
     assert to_dot(as_fractions) == to_dot(as_ints)
 
 
+def test_vertices_and_edges_are_checked_tuple_records():
+    v = KRVertex(0, VertexKind.BOUNDARY, 1, "rim")
+    e = KREdge(0, 0, 1, (F(1, 4), F(3, 4)))
+    # records are tuples: they unpack and equal the plain tuple of their fields
+    vid, kind, height, label = v
+    assert (vid, kind, height, label) == (0, VertexKind.BOUNDARY, 1, "rim") == v
+    assert e == (0, 0, 1, (F(1, 4), F(3, 4)))
+    assert repr(v) == "KRVertex(id=0, kind=<VertexKind.BOUNDARY: 'BoundaryCircle'>, height=1, boundary_label='rim')"
+    assert repr(KREdge(2, 0, 1)) == "KREdge(id=2, tail=0, head=1, lift=None)"
+    for record, field in ((v, "height"), (v, "boundary_label"), (e, "lift"), (e, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # equal records hash equal, whatever exact type their numbers came as
+    assert hash(KRVertex(0, VertexKind.BOUNDARY, F(1), "rim")) == hash(v)
+    assert hash(KREdge(0, 0, 1, [F(1, 4), F(3, 4)])) == hash(e)
+    # ``_replace`` and ``_make`` run the constructor's checks
+    with pytest.raises(ValueError, match="boundary label exactly on BoundaryCircle"):
+        KRVertex(0, VertexKind.MIN, 0)._replace(kind=VertexKind.BOUNDARY)
+    with pytest.raises(ValueError, match="boundary label exactly on BoundaryCircle"):
+        v._replace(kind=VertexKind.MAX)
+    with pytest.raises(ValueError, match="boundary label exactly on BoundaryCircle"):
+        KRVertex._make((0, VertexKind.MIN, 0, "rim"))
+    for value in (True, 0.5):
+        height = v._replace(height=value).height
+        assert type(height) is F and height == F(value)
+        assert list(map(type, e._replace(lift=(value, 2)).lift)) == [F, int]
+        assert list(map(type, KREdge._make((0, 0, 1, (1, value))).lift)) == [int, F]
+
+
 def test_degree_validation():
     with pytest.raises(ValueError, match="degree"):
         KRGraph(

@@ -199,6 +199,27 @@ def test_catalogue_classes_are_stored_by_their_non_zero_entries():
             assert dense == expected
 
 
+def test_catalogue_entries_are_tuple_records():
+    gens = canonical_generator_set(Surface(True, 2, ("V1", "V2")), {"V1": 1, "V2": -1}, Target.CIRCLE)
+    twist = next(x for x in gens if x.name == "t_beta_1")
+    # a record is a tuple: it unpacks and equals the plain tuple of its fields
+    kind, name, admissible, curve, sparse_class = twist
+    assert (kind, name, admissible, curve) == (GeneratorKind.DEHN_TWIST, "t_beta_1", Admissible.NO, "beta_1")
+    assert twist == (kind, name, admissible, curve, (4, ((2, 1),)))
+    assert twist.curve_class == (0, 0, 1, 0)
+    assert repr(gens[0]) == (
+        "MCGGenerator(kind=<GeneratorKind.ORIENTATION_REVERSAL: 'orientation_reversal'>, "
+        "name='O', admissible=<Admissible.YES: 'Yes'>, curve=None, sparse_class=None)"
+    )
+    with pytest.raises(AttributeError):
+        twist.admissible = Admissible.YES
+    with pytest.raises(AttributeError):
+        twist.extra = 1
+    # equal records hash equal, and a rebuilt catalogue equals the first
+    again = canonical_generator_set(Surface(True, 2, ("V1", "V2")), {"V1": 1, "V2": -1}, Target.CIRCLE)
+    assert again == gens and list(map(hash, again)) == list(map(hash, gens))
+
+
 def test_huge_genus_is_rejected_before_anything_is_built():
     # the least genus whose orientable catalogue prints more than
     # sys.maxsize class entries; never call with a smaller one here

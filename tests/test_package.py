@@ -129,16 +129,33 @@ def _definitions(tree):
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
+def _imports(tree):
+    """Names bound by the module-level imports, ``from __future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _loaded(tree):
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_definition_is_used():
     # a name counts as used when the package loads it, reads it as an
     # attribute or imports it; ``cli.main`` finds ``cmd_*`` by name
     modules = list(_modules())
     used = set()
     for _, tree in modules:
+        used |= _loaded(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
@@ -149,5 +166,14 @@ def test_every_definition_is_used():
         if name not in used
         and not (name.startswith("__") and name.endswith("__"))
         and not (module == "cli" and name.startswith("cmd_"))
+    ]
+    # a module-level import is used when its own module loads the name;
+    # ``__init__`` imports to re-export
+    dead += [
+        f"{module}.{name} (import)"
+        for module, tree in modules
+        if module != "__init__"
+        for name in _imports(tree)
+        if name not in _loaded(tree)
     ]
     assert dead == []
