@@ -5,12 +5,12 @@ mapping (homotopy vector, critical counts, boundary signs) from
 triangulated input, builds and compares Kronrod-Reeb graphs and their
 normal forms, and carries the exact integer symplectic machinery used to
 factor homology actions that fix a fiber class.  Text that does not parse
-raises ``FormatError``, a ``ValueError``; the package logs through the
-``morse_topo`` logger, which prints nothing unless the application
-configures logging.
+raises ``FormatError``, a ``ValueError``.  The library never logs and
+does not import ``logging``; only ``cli.main`` logs, an internal error, to
+the ``morse_topo`` logger, which it gives a ``NullHandler`` when the logger
+has no handler, so that nothing prints unless the application configures
+logging.
 """
-
-import logging
 
 from .surface import (
     CriticalType,
@@ -85,7 +85,5 @@ from .mcg import (
     twist_action,
     twist_admissible,
 )
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -10,8 +10,7 @@ functions assembled from two stacked halves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .surface import CriticalType, Surface, Target, flip_target_orientation, validate_critical_type
 
@@ -104,28 +103,38 @@ def is_minimal(s: Surface, k: CriticalType) -> bool:
 # Compositional minimality for stacked halves
 
 
-@dataclass(frozen=True)
-class HalfPiece:
-    """One connected component of the lower or upper half of a function
-    assembled along a middle regular level.
-
-    ``outer_labels`` lie on the outer boundary (the bottom for a lower
-    piece, the top for an upper one); ``cut_labels`` lie on the middle
-    level.  Remaining labels are ordinary boundary circles of the glued
-    surface.
-    """
-
+class _HalfPiece(NamedTuple):
     side: str  # "lower" | "upper"
     surface: Surface
     ktype: CriticalType
     outer_labels: frozenset[str]
     cut_labels: frozenset[str]
 
-    def __post_init__(self):
-        if self.side not in ("lower", "upper"):
+
+class HalfPiece(_HalfPiece):
+    """One connected component of the lower or upper half of a function
+    assembled along a middle regular level, as an immutable tuple record
+    ``(side, surface, ktype, outer_labels, cut_labels)``.
+
+    ``outer_labels`` lie on the outer boundary (the bottom for a lower
+    piece, the top for an upper one); ``cut_labels`` lie on the middle
+    level.  Remaining labels are ordinary boundary circles of the glued
+    surface.  Construction, ``_make`` and ``_replace`` all check the side
+    and make both label sets frozensets.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, side, surface, ktype, outer_labels, cut_labels):
+        if side not in ("lower", "upper"):
             raise ValueError("side must be 'lower' or 'upper'")
-        object.__setattr__(self, "outer_labels", frozenset(self.outer_labels))
-        object.__setattr__(self, "cut_labels", frozenset(self.cut_labels))
+        return tuple.__new__(
+            cls, (side, surface, ktype, frozenset(outer_labels), frozenset(cut_labels))
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 Gluing = Sequence[tuple[tuple[int, str], tuple[int, str]]]

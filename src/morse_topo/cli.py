@@ -8,10 +8,11 @@ mapping classes).  Bad input exits 1 with a one-line JSON error on stderr:
 ``io:`` for an unreadable file, ``format:`` for text that does not parse
 (``FormatError``), ``domain:`` for any other ``ValueError``.  Any other
 exception exits 3 with an ``internal:`` error and is logged to the
-``morse_topo`` logger; usage errors exit 2, among them an integer flag
-that is not an ASCII decimal integer.  A standard output closed early (a
-pipe into ``head``) exits 1 with no error line.  All output is
-deterministic.
+``morse_topo`` logger (``main`` imports ``logging`` on that path alone and
+gives the logger a ``NullHandler`` there if it has no handler); usage
+errors exit 2, among them an integer flag that is not an ASCII decimal
+integer.  A standard output closed early (a pipe into ``head``) exits 1
+with no error line.  All output is deterministic.
 
 ``main`` may be called many times in one process, and each call behaves
 like a fresh process.  The argparse tree is built once per process, and
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 
@@ -291,7 +291,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         message = f"domain: {exc}"
     except Exception as exc:
-        logging.getLogger("morse_topo").exception("morse-topo %s failed", args.command)
+        # imported here, so that no other call pays for it at start-up
+        import logging
+
+        logger = logging.getLogger("morse_topo")
+        if not logger.handlers:
+            logger.addHandler(logging.NullHandler())
+        logger.exception("morse-topo %s failed", args.command)
         message, code = f"internal: {type(exc).__name__}: {exc}", 3
     sys.stderr.write(_json_line({"error": message}) + "\n")
     return code

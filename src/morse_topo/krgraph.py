@@ -19,7 +19,6 @@ import enum
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -146,6 +145,10 @@ class KRGraph:
                 raise ValueError(f"duplicate vertex id {vid}")
             self.vertices[vid] = v
         self.edges: list[KREdge] = list(edges)
+        if len(set(map(_id, self.edges))) != len(self.edges):
+            counts = collections.Counter(map(_id, self.edges))
+            eid = next(eid for eid, n in counts.items() if n > 1)
+            raise ValueError(f"duplicate edge id {eid}")
         self._validate()
 
     # -- basic accessors ----------------------------------------------------
@@ -322,9 +325,9 @@ class PieceClass(enum.Enum):
     Q1 = "Q1"  # touches only the upper cut boundary
 
 
-@dataclass(frozen=True)
-class CutPiece:
-    """One piece of a cut, as the Line-target graph of the cut map on it.
+class CutPiece(NamedTuple):
+    """One piece of a cut, as the Line-target graph of the cut map on it,
+    in a tuple record ``(graph, piece_class)``.
 
     The piece's vertices keep their ids, at their lifts in [c, c + 1].
     Each severed edge end becomes a boundary-circle vertex, a seam: one

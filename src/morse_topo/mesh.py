@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
 from .surface import CriticalType, FormatError, Surface, Target, _int_reader, _int_vector, validate_critical_type
@@ -40,41 +40,63 @@ class NotGenericError(ValueError):
     """Flat interior edge or coinciding event heights."""
 
 
-@dataclass(frozen=True)
-class HeightMesh:
+class _HeightMesh(NamedTuple):
     orientable: bool
     heights: tuple[int | Fraction, ...]  # indexed by vertex id 0..n-1
     triangles: tuple[tuple[int, int, int], ...]
     boundary_cycles: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    # ordered link of each vertex, built when the mesh is checked: a cycle,
-    # or for a boundary vertex a path whose two ends are its neighbours on
-    # the boundary cycle
-    _links: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # integer key of each vertex, ordered and tied like its height
-    _keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+
+class HeightMesh(_HeightMesh):
+    """A checked mesh, as an immutable tuple record ``(orientable, heights,
+    triangles, boundary_cycles)``: it unpacks, and it compares equal to the
+    plain tuple of its fields.  Construction, ``_make`` and ``_replace``
+    all convert the fields and check the mesh.
+
+    ``__new__`` converts: heights to ``int`` or ``Fraction``, triangles and
+    cycles to tuples of integers, and it rejects a boundary label that HMESH
+    text cannot carry (empty, or holding whitespace).  ``__init__`` builds
+    the height keys and checks the mesh, which leaves the ordered link of
+    each vertex: a cycle, or for a boundary vertex a path whose two ends are
+    its neighbours on the boundary cycle.  A tuple subclass cannot have
+    non-empty ``__slots__``, so the keys (``_keys``, ordered and tied like
+    the heights) and links (``_links``) live in the instance dict, and
+    ``__setattr__`` refuses every assignment.
+    """
+
+    def __new__(cls, orientable, heights, triangles, boundary_cycles=()):
         # convert only what is not already a tuple of the right types, as
         # ``parse_hmesh`` builds it: collecting the types (in C) costs a
         # tenth of rebuilding every height and triangle.  An ``int`` height
         # stays an ``int``; a ``bool`` or ``float`` becomes a ``Fraction``
-        heights, tris = self.heights, self.triangles
         if type(heights) is not tuple or set(map(type, heights)) - {int, Fraction}:
             heights = tuple(h if type(h) in (int, Fraction) else Fraction(h) for h in heights)
-            object.__setattr__(self, "heights", heights)
         if (
-            type(tris) is not tuple
-            or set(map(type, tris)) - {tuple}
-            or set(map(type, chain.from_iterable(tris))) - {int}
+            type(triangles) is not tuple
+            or set(map(type, triangles)) - {tuple}
+            or set(map(type, chain.from_iterable(triangles))) - {int}
         ):
-            object.__setattr__(self, "triangles", tuple(map(_int_vector, tris)))
-        object.__setattr__(
-            self,
-            "boundary_cycles",
-            tuple((str(label), _int_vector(cyc)) for label, cyc in self.boundary_cycles),
-        )
+            triangles = tuple(map(_int_vector, triangles))
+        cycles = []
+        for label, cyc in boundary_cycles:
+            label = str(label)
+            if label.split() != [label]:
+                raise ValueError(
+                    f"boundary label {label!r} must be non-empty, without whitespace"
+                )
+            cycles.append((label, _int_vector(cyc)))
+        return tuple.__new__(cls, (orientable, heights, triangles, tuple(cycles)))
+
+    def __init__(self, *args, **kwargs):
         object.__setattr__(self, "_keys", _height_keys(self.heights))
         object.__setattr__(self, "_links", _check_mesh(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a HeightMesh is immutable")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def num_vertices(self) -> int:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class FormatError(ValueError):
@@ -55,27 +54,37 @@ class Target(enum.Enum):
     CIRCLE = "Circle"
 
 
-@dataclass(frozen=True)
-class Surface:
-    """A connected compact surface: orientability, genus, labelled boundary."""
-
+class _Surface(NamedTuple):
     orientable: bool
     genus: int
     boundary: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        (genus,) = _int_vector((self.genus,), "genus")
-        object.__setattr__(self, "genus", genus)
-        if self.genus < 0:
+
+class Surface(_Surface):
+    """A connected compact surface: orientability, genus, labelled boundary,
+    as an immutable tuple record ``(orientable, genus, boundary)``: it
+    unpacks, and it compares equal to the plain tuple of its fields.
+    Construction, ``_make`` and ``_replace`` all check the genus and make
+    the labels a tuple of distinct non-empty strings."""
+
+    __slots__ = ()
+
+    def __new__(cls, orientable, genus, boundary=()):
+        (genus,) = _int_vector((genus,), "genus")
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("a non-orientable surface has genus >= 1")
-        labels = tuple(self.boundary)
+        labels = tuple(boundary)
         if len(set(labels)) != len(labels):
             raise ValueError("boundary labels must be distinct")
         if any(not isinstance(l, str) or not l for l in labels):
             raise ValueError("boundary labels must be non-empty strings")
-        object.__setattr__(self, "boundary", labels)
+        return tuple.__new__(cls, (orientable, genus, labels))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def num_boundary(self) -> int:
@@ -105,8 +114,16 @@ def _check_signs(eps: Mapping[str, int]) -> dict[str, int]:
     return signs
 
 
-@dataclass(frozen=True)
-class CriticalType:
+class _CriticalType(NamedTuple):
+    target: Target
+    q: tuple[int, ...]
+    c0: int
+    c1: int
+    c2: int
+    eps: Mapping[str, int] = {}
+
+
+class CriticalType(_CriticalType):
     """The complete path-component invariant of a Morse mapping.
 
     ``q`` is an integer vector of length ``homology_rank`` of the surface
@@ -115,24 +132,26 @@ class CriticalType:
     orientable surfaces the coordinates of ``q`` refer to the basis dual to
     the standard symplectic curve classes; on non-orientable surfaces they
     refer to whatever basis of the capped surface's first cohomology the
-    caller fixed.  Instances are value objects; treat ``eps`` as immutable.
+    caller fixed.  Instances are immutable tuple records ``(target, q, c0,
+    c1, c2, eps)`` that compare equal to the plain tuple of their fields;
+    construction, ``_make`` and ``_replace`` all check the integers and
+    copy ``eps`` into a new dict, which callers treat as immutable.
     """
 
-    target: Target
-    q: tuple[int, ...]
-    c0: int
-    c1: int
-    c2: int
-    eps: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _int_vector(self.q, "q entries"))
-        counts = _int_vector((self.c0, self.c1, self.c2), "critical point counts")
-        for name, count in zip(("c0", "c1", "c2"), counts):
-            object.__setattr__(self, name, count)
-        object.__setattr__(self, "eps", _check_signs(self.eps))
-        if min(self.c0, self.c1, self.c2) < 0:
+    # the default ``eps`` is only read: ``_check_signs`` copies it
+    def __new__(cls, target, q, c0, c1, c2, eps={}):
+        q = _int_vector(q, "q entries")
+        c0, c1, c2 = _int_vector((c0, c1, c2), "critical point counts")
+        eps = _check_signs(eps)
+        if min(c0, c1, c2) < 0:
             raise ValueError("critical point counts must be non-negative")
+        return tuple.__new__(cls, (target, q, c0, c1, c2, eps))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def b_minus(self) -> int:

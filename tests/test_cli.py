@@ -666,6 +666,26 @@ def test_unexpected_exception_is_internal_error():
     assert r.stderr == '{"error":"internal: RuntimeError: boom"}\n'
 
 
+def test_internal_errors_leave_one_null_handler():
+    # the package imports ``logging`` only on the internal-error path, and
+    # gives its logger one ``NullHandler`` there, however often it is taken
+    code = (
+        "import sys\n"
+        "from morse_topo import cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.cmd_admissible = boom\n"
+        "argv = ['admissible', '--q', '0,1', '--gamma', '1,0']\n"
+        "codes = [cli.main(argv) for _ in range(2)]\n"
+        "handlers = sys.modules['logging'].getLogger('morse_topo').handlers\n"
+        "print(codes, [type(h).__name__ for h in handlers])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0
+    assert r.stdout == "[3, 3] ['NullHandler']\n"
+    assert r.stderr == '{"error":"internal: RuntimeError: boom"}\n' * 2
+
+
 def test_internal_error_is_logged(monkeypatch, capsys, caplog):
     from morse_topo import cli
 
@@ -737,6 +757,21 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         counts.append(len(built))
     assert counts[0] > 0
     assert counts == [counts[0]] * 20
+
+
+def test_start_up_loads_no_dataclasses_or_logging():
+    # the modules every CLI call would pay for at start-up without using
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import morse_topo.cli\n"
+        "morse_topo.cli.build_parser()\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(r.stdout))
+    assert "morse_topo.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "logging", "traceback"} == set()
 
 
 def test_unknown_subcommand_is_usage_error():

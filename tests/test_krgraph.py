@@ -428,6 +428,14 @@ REJECTIONS = {
     "duplicate-id": (
         lambda: KRGraph(Target.LINE, LINE_PAIR[:1] * 2, []), "duplicate vertex id 0"
     ),
+    "duplicate-edge-id": (
+        lambda: KRGraph(
+            Target.LINE,
+            theta_graph().vertices.values(),
+            [e._replace(id=0) for e in theta_graph().edges],
+        ),
+        "duplicate edge id 0",
+    ),
     "unknown-vertex": (
         lambda: KRGraph(Target.LINE, LINE_PAIR, [KREdge(0, 0, 2)]),
         "edge 0 references unknown vertices",

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -315,6 +316,60 @@ def test_hmesh_round_trip():
     for m in meshes.corpus().values():
         again = parse_hmesh(format_hmesh(m))
         assert again == m
+
+
+@pytest.mark.parametrize("label", ["f g", "a\tb", "a\u2028b", ""])
+def test_boundary_label_must_be_one_hmesh_word(label):
+    # ``format_hmesh`` writes a label as it is, so a label with whitespace,
+    # or none at all, would write text that ``parse_hmesh`` rejects
+    m = meshes.cylinder()
+    cycles = ((label, m.boundary_cycles[0][1]),) + m.boundary_cycles[1:]
+    with pytest.raises(ValueError, match=re.escape(f"boundary label {label!r} ")):
+        HeightMesh(m.orientable, m.heights, m.triangles, cycles)
+    with pytest.raises(ValueError, match=re.escape(f"boundary label {label!r} ")):
+        m._replace(boundary_cycles=cycles)
+
+
+def test_hmesh_round_trip_keeps_any_one_word_label():
+    rng = random.Random(23)
+    symbols = '#"\\/:öx-'
+    bounded = [m for m in meshes.corpus().values() if m.boundary_cycles]
+    assert bounded
+    for m in bounded:
+        for labels in (["#x", 'a"b', "c\\d", "höhe"], [], []):
+            while len(set(labels)) < len(m.boundary_cycles):
+                labels.append("".join(rng.choices(symbols, k=rng.randint(1, 4))))
+            labels = rng.sample(sorted(set(labels)), len(m.boundary_cycles))
+            relabelled = m._replace(
+                boundary_cycles=[(l, cyc) for l, (_, cyc) in zip(labels, m.boundary_cycles)]
+            )
+            assert parse_hmesh(format_hmesh(relabelled)) == relabelled
+
+
+def test_wrapped_init_still_checks_the_mesh(monkeypatch):
+    # timing the mesh checks wraps ``HeightMesh.__init__`` with a
+    # pass-through; the checks must run, and fail, inside the wrapper
+    init = HeightMesh.__init__
+    calls, failures = [], []
+
+    @functools.wraps(init)
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        try:
+            return init(*args, **kwargs)
+        except ValueError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(HeightMesh, "__init__", wrapper)
+    for m in meshes.corpus().values():
+        again = parse_hmesh(format_hmesh(m))
+        assert again == m and again._links == m._links and again._keys == m._keys
+        assert calls[-1] is again
+    m = meshes.tetrahedron()
+    with pytest.raises(ValueError, match="degenerate triangle") as caught:
+        HeightMesh(True, m.heights, m.triangles[:3] + ((1, 1, 3),))
+    assert failures == [caught.value]
 
 
 def test_hmesh_heights_are_int_or_fraction():

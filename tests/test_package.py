@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from morse_topo.canonical import canonical_kr_graph
-from morse_topo.krgraph import critical_type_of
+from morse_topo.classify import HalfPiece
+from morse_topo.krgraph import critical_type_of, cut_at_level
 from morse_topo.mcg import (
     degree_along,
     factor_stabilizer,
@@ -59,6 +60,80 @@ INTAKE_SITES = {
     "evaluate-exp": lambda x: evaluate((GenPower("Ta", 1, None, x),), 1),
     "sp-matrix": lambda x: SpMatrix([[x, 0], [0, 1]]),
 }
+
+
+def _records():
+    """Per record type: (a record, an equal one built from other input, its
+    repr text, a ``_replace`` its checks refuse, and the message)."""
+    disk = Surface(True, 0, ("x",))
+    lower = CriticalType(Target.LINE, (), 0, 0, 1, {"x": -1})
+    circle = canonical_kr_graph(TORUS, {}, 0, 0, (1, 0), Target.CIRCLE)
+    piece = cut_at_level(circle, Fraction(1, 1000))[0]
+    return {
+        "surface": (
+            Surface(False, 2, ("a", "b")),
+            Surface(orientable=False, genus=2, boundary=["a", "b"]),
+            "Surface(orientable=False, genus=2, boundary=('a', 'b'))",
+            {"genus": -1},
+            "genus must be non-negative",
+        ),
+        "critical-type": (
+            CriticalType(Target.CIRCLE, (1, 0), 0, 2, 0, {"b": -1, "a": 1}),
+            CriticalType(Target.CIRCLE, [1, 0], 0, 2, 0, {"b": -1, "a": 1}),
+            "CriticalType(target=<Target.CIRCLE: 'Circle'>, q=(1, 0), c0=0, c1=2, "
+            "c2=0, eps={'b': -1, 'a': 1})",
+            {"c1": -1},
+            "critical point counts must be non-negative",
+        ),
+        "half-piece": (
+            HalfPiece("lower", disk, lower, frozenset({"x"}), frozenset()),
+            HalfPiece("lower", disk, lower, ["x"], ()),
+            "HalfPiece(side='lower', surface=Surface(orientable=True, genus=0, "
+            "boundary=('x',)), ktype=CriticalType(target=<Target.LINE: 'Line'>, q=(), "
+            "c0=0, c1=0, c2=1, eps={'x': -1}), outer_labels=frozenset({'x'}), "
+            "cut_labels=frozenset())",
+            {"side": "middle"},
+            "side must be 'lower' or 'upper'",
+        ),
+        "height-mesh": (
+            HeightMesh(True, (0, Fraction(1, 2), 2, 3), TETRA_TRIANGLES),
+            HeightMesh(True, [0, 0.5, 2, 3], list(map(list, TETRA_TRIANGLES))),
+            "HeightMesh(orientable=True, heights=(0, Fraction(1, 2), 2, 3), "
+            "triangles=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), boundary_cycles=())",
+            {"triangles": TETRA_TRIANGLES[:3] + ((1, 1, 3),)},
+            "degenerate triangle (1, 1, 3)",
+        ),
+        # a plain record: nothing to check or convert
+        "cut-piece": (
+            piece,
+            type(piece)(*piece),
+            f"CutPiece(graph={piece.graph!r}, piece_class=<PieceClass.Q01: 'Q01'>)",
+            None,
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", _records())
+def test_records_are_checked_immutable_tuples(name):
+    record, twin, text, bad, message = _records()[name]
+    # a tuple record: it unpacks and equals the plain tuple of its fields
+    assert record == tuple(record) == twin
+    assert type(twin) is type(record)
+    assert repr(record) == repr(twin) == text
+    for field in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # equal records hash equal wherever their fields are hashable
+    try:
+        assert hash(twin) == hash(record)
+    except TypeError:
+        assert name in ("critical-type", "half-piece")  # ``eps`` is a dict
+    assert record._replace() == record
+    if bad is not None:
+        with pytest.raises(ValueError) as caught:
+            record._replace(**bad)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
