@@ -46,11 +46,10 @@ from .mesh import (
     surface_of,
 )
 from .classify import (
-    HalfPiece,
     equivalence_reason,
     equivalent_up_to_flip,
+    glued_type,
     is_minimal,
-    is_minimal_composite,
     is_realizable,
     minimal_fiber_count,
     sigma_homotopy_equivalent,

@@ -4,13 +4,13 @@ Two Morse mappings on the same surface are connected by a path of Morse
 mappings exactly when their critical types agree, so the decision
 procedure is field-by-field comparison.  The module also provides the
 minimal-fiber count for circle-valued maps, the minimality test for the
-number of critical points, and a compositional minimality check for
-functions assembled from two stacked halves.
+number of critical points, and the critical type of a map glued from
+pieces along regular levels.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable
 
 from .surface import CriticalType, Surface, Target, flip_target_orientation, validate_critical_type
 
@@ -83,135 +83,48 @@ def is_realizable(s: Surface, k: CriticalType) -> bool:
 def is_minimal(s: Surface, k: CriticalType) -> bool:
     """Whether the critical type has the fewest critical points possible
     among Morse mappings on the connected surface with the same boundary
-    signs (and, for circle targets, the same essential homotopy class)."""
+    signs (and, for circle targets, the same homotopy class).  A circle
+    map with q = 0 lifts to the line, so the line rule decides it."""
     problems = validate_critical_type(s, k)
     if problems:
         raise ValueError("; ".join(problems))
-    if k.target is Target.CIRCLE:
-        if all(x == 0 for x in k.q):
-            raise ValueError(
-                "minimality of a null-homotopic circle map reduces to the "
-                "line-valued case"
-            )
-        return k.c0 == 0 and k.c2 == 0
-    want_c0 = 1 if k.b_minus == 0 else 0
-    want_c2 = 1 if k.b_plus == 0 else 0
-    return k.c0 == want_c0 and k.c2 == want_c2
+    if k.target is Target.LINE or not any(k.q):
+        want_c0 = 1 if k.b_minus == 0 else 0
+        want_c2 = 1 if k.b_plus == 0 else 0
+        return k.c0 == want_c0 and k.c2 == want_c2
+    return k.c0 == 0 and k.c2 == 0
 
 
-# ---------------------------------------------------------------------------
-# Compositional minimality for stacked halves
+def glued_type(s: Surface, pieces: Iterable[CriticalType], seams: Iterable[str]) -> CriticalType:
+    """The critical type on the connected surface ``s`` of a line-valued map
+    assembled from line-valued pieces along regular level circles.
 
-
-class _HalfPiece(NamedTuple):
-    side: str  # "lower" | "upper"
-    surface: Surface
-    ktype: CriticalType
-    outer_labels: frozenset[str]
-    cut_labels: frozenset[str]
-
-
-class HalfPiece(_HalfPiece):
-    """One connected component of the lower or upper half of a function
-    assembled along a middle regular level, as an immutable tuple record
-    ``(side, surface, ktype, outer_labels, cut_labels)``.
-
-    ``outer_labels`` lie on the outer boundary (the bottom for a lower
-    piece, the top for an upper one); ``cut_labels`` lie on the middle
-    level.  Remaining labels are ordinary boundary circles of the glued
-    surface.  Construction, ``_make`` and ``_replace`` all check the side
-    and make both label sets frozensets.
+    Each label in ``seams`` names one level circle: a boundary circle of
+    exactly two pieces, with sign +1 on the piece below the level and -1 on
+    the piece above.  Every other label keeps its sign.  The counts add up,
+    and so does the Euler characteristic over circle gluings, which
+    ``validate_critical_type`` checks against ``s``.  The assembled map is
+    minimal exactly when ``is_minimal(s, glued_type(s, pieces, seams))``.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, side, surface, ktype, outer_labels, cut_labels):
-        if side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
-        return tuple.__new__(
-            cls, (side, surface, ktype, frozenset(outer_labels), frozenset(cut_labels))
-        )
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-Gluing = Sequence[tuple[tuple[int, str], tuple[int, str]]]
-
-
-def _check_piece(piece: HalfPiece):
-    labels = set(piece.surface.boundary)
-    if not (piece.outer_labels <= labels and piece.cut_labels <= labels):
-        raise ValueError("piece labels must be boundary labels of its surface")
-    if piece.outer_labels & piece.cut_labels:
-        raise ValueError("a label cannot be both outer and cut")
-    if validate_critical_type(piece.surface, piece.ktype):
-        raise ValueError("piece critical type is invalid for its surface")
-    outer_sign = -1 if piece.side == "lower" else 1
-    for label in piece.outer_labels:
-        if piece.ktype.eps[label] != outer_sign:
-            raise ValueError(f"outer label {label!r} has the wrong sign")
-    for label in piece.cut_labels:
-        if piece.ktype.eps[label] != -outer_sign:
-            raise ValueError(f"cut label {label!r} has the wrong sign")
-
-
-def is_minimal_composite(pieces: Sequence[HalfPiece], gluing: Gluing) -> bool:
-    """Minimality of a function built from minimal halves along a middle level.
-
-    The hypotheses checked are: the bottom, top and middle level are all
-    non-empty and every glued component touches the bottom or the top;
-    every piece is minimal; and every glued component that meets the middle
-    level reaches both the bottom and the top.  Together they force the
-    assembled function to be minimal.  Malformed gluing data raises.
-    """
+    if isinstance(seams, str):
+        raise ValueError("seams must be a sequence of labels, not a string")
+    signs: dict[str, list[int]] = {}
+    c0 = c1 = c2 = 0
     for piece in pieces:
-        _check_piece(piece)
-    used = set()
-    parent = list(range(len(pieces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, li), (j, lj) in gluing:
-        lower, upper = (i, li), (j, lj)
-        if pieces[i].side == "upper":
-            lower, upper = (j, lj), (i, li)
-        (i2, li2), (j2, lj2) = lower, upper
-        if pieces[i2].side != "lower" or pieces[j2].side != "upper":
-            raise ValueError("a gluing pair must join a lower and an upper piece")
-        if li2 not in pieces[i2].cut_labels or lj2 not in pieces[j2].cut_labels:
-            raise ValueError("gluing must match cut labels")
-        for key in (lower, upper):
-            if key in used:
-                raise ValueError(f"cut circle {key} glued twice")
-            used.add(key)
-        ra, rb = find(i2), find(j2)
-        if ra != rb:
-            parent[ra] = rb
-    for idx, piece in enumerate(pieces):
-        for label in piece.cut_labels:
-            if (idx, label) not in used:
-                raise ValueError(f"cut circle {(idx, label)} left unglued")
-
-    bottom = any(p.side == "lower" and p.outer_labels for p in pieces)
-    top = any(p.side == "upper" and p.outer_labels for p in pieces)
-    if not (bottom and top and gluing):
-        return False
-    components: dict[int, list[HalfPiece]] = {}
-    for idx, piece in enumerate(pieces):
-        components.setdefault(find(idx), []).append(piece)
-    for comp in components.values():
-        if not any(p.outer_labels for p in comp):
-            return False  # a component of the glued surface misses bottom and top
-        touches_cut = any(p.cut_labels for p in comp)
-        if touches_cut:
-            has_bottom = any(p.side == "lower" and p.outer_labels for p in comp)
-            has_top = any(p.side == "upper" and p.outer_labels for p in comp)
-            if not (has_bottom and has_top):
-                return False
-    return all(is_minimal(p.surface, p.ktype) for p in pieces)
+        if piece.target is not Target.LINE:
+            raise ValueError("glued pieces must be line-valued")
+        c0, c1, c2 = c0 + piece.c0, c1 + piece.c1, c2 + piece.c2
+        for label, sign in piece.eps.items():
+            signs.setdefault(label, []).append(sign)
+    for label in set(seams):
+        if sorted(signs.pop(label, ())) != [-1, 1]:
+            raise ValueError(f"seam {label!r} must be +1 on one piece and -1 on one other")
+    for label, found in signs.items():
+        if len(found) > 1:
+            raise ValueError(f"label {label!r} is on {len(found)} pieces but is not a seam")
+    eps = {label: sign for label, (sign,) in signs.items()}
+    k = CriticalType(Target.LINE, (0,) * s.homology_rank, c0, c1, c2, eps)
+    problems = validate_critical_type(s, k)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return k

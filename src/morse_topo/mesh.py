@@ -54,17 +54,20 @@ class HeightMesh(_HeightMesh):
     all convert the fields and check the mesh.
 
     ``__new__`` converts: heights to ``int`` or ``Fraction``, triangles and
-    cycles to tuples of integers, and it rejects a boundary label that HMESH
-    text cannot carry (empty, or holding whitespace).  ``__init__`` builds
-    the height keys and checks the mesh, which leaves the ordered link of
-    each vertex: a cycle, or for a boundary vertex a path whose two ends are
-    its neighbours on the boundary cycle.  A tuple subclass cannot have
-    non-empty ``__slots__``, so the keys (``_keys``, ordered and tied like
-    the heights) and links (``_links``) live in the instance dict, and
-    ``__setattr__`` refuses every assignment.
+    cycles to tuples of integers, and it rejects an ``orientable`` that is
+    not a bool and a boundary label that HMESH text cannot carry (empty, or
+    holding whitespace).  ``__init__`` builds the height keys and checks the
+    mesh, which leaves the ordered link of each vertex: a cycle, or for a
+    boundary vertex a path whose two ends are its neighbours on the boundary
+    cycle.  A tuple subclass cannot have non-empty ``__slots__``, so the
+    keys (``_keys``, ordered and tied like the heights) and links
+    (``_links``) live in the instance dict, and ``__setattr__`` refuses
+    every assignment.
     """
 
     def __new__(cls, orientable, heights, triangles, boundary_cycles=()):
+        if type(orientable) is not bool:
+            raise ValueError("orientable must be True or False")
         # convert only what is not already a tuple of the right types, as
         # ``parse_hmesh`` builds it: collecting the types (in C) costs a
         # tenth of rebuilding every height and triangle.  An ``int`` height

@@ -64,17 +64,22 @@ class Surface(_Surface):
     """A connected compact surface: orientability, genus, labelled boundary,
     as an immutable tuple record ``(orientable, genus, boundary)``: it
     unpacks, and it compares equal to the plain tuple of its fields.
-    Construction, ``_make`` and ``_replace`` all check the genus and make
-    the labels a tuple of distinct non-empty strings."""
+    Construction, ``_make`` and ``_replace`` all check that ``orientable``
+    is a bool and the genus an integer, and make the labels a tuple of
+    distinct non-empty strings; a single string is not a list of labels."""
 
     __slots__ = ()
 
     def __new__(cls, orientable, genus, boundary=()):
+        if type(orientable) is not bool:
+            raise ValueError("orientable must be True or False")
         (genus,) = _int_vector((genus,), "genus")
         if genus < 0:
             raise ValueError("genus must be non-negative")
         if not orientable and genus < 1:
             raise ValueError("a non-orientable surface has genus >= 1")
+        if isinstance(boundary, str):
+            raise ValueError("boundary must be a sequence of labels, not a string")
         labels = tuple(boundary)
         if len(set(labels)) != len(labels):
             raise ValueError("boundary labels must be distinct")

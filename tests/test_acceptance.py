@@ -376,13 +376,12 @@ def test_criterion_9_minimality_by_exhaustion():
         r = surface.homology_rank
         for signs in itertools.product((1, -1), repeat=surface.num_boundary):
             eps = dict(zip(surface.boundary, signs))
-            for target in (Target.LINE, Target.CIRCLE):
-                if target is Target.CIRCLE and not circle_supported(surface):
-                    continue
-                if target is Target.CIRCLE:
-                    q = (1,) + (0,) * (r - 1)
-                else:
-                    q = (0,) * r
+            # circle maps with q = 0 exist on every surface; q = (1, 0, ...)
+            # needs homology rank at least one
+            classes = [(Target.LINE, (0,) * r), (Target.CIRCLE, (0,) * r)]
+            if circle_supported(surface):
+                classes.append((Target.CIRCLE, (1,) + (0,) * (r - 1)))
+            for target, q in classes:
                 candidates = []
                 for c0, c2 in itertools.product(range(5), repeat=2):
                     c1 = c0 + c2 - chi

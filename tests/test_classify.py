@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morse_topo.classify import (
-    HalfPiece,
     equivalence_reason,
     equivalent_up_to_flip,
+    glued_type,
     is_minimal,
-    is_minimal_composite,
     is_realizable,
     minimal_fiber_count,
     sigma_homotopy_equivalent,
@@ -97,8 +96,12 @@ def test_is_minimal_circle_cases():
     g2 = Surface(True, 2)
     assert is_minimal(g2, CriticalType(Target.CIRCLE, (1, 0, 0, 0), 0, 2, 0))
     assert not is_minimal(g2, CriticalType(Target.CIRCLE, (1, 0, 0, 0), 1, 3, 0))
-    with pytest.raises(ValueError, match="null-homotopic"):
-        is_minimal(g2, CriticalType(Target.CIRCLE, (0, 0, 0, 0), 1, 3, 0))
+    # q = 0: the map lifts to the line, so the line rule decides
+    assert is_minimal(g2, CriticalType(Target.CIRCLE, (0, 0, 0, 0), 1, 4, 1))
+    assert not is_minimal(g2, CriticalType(Target.CIRCLE, (0, 0, 0, 0), 1, 3, 0))
+    annulus = Surface(True, 0, ("a", "b"))
+    assert is_minimal(annulus, CriticalType(Target.CIRCLE, (), 0, 0, 0, {"a": -1, "b": 1}))
+    assert not is_minimal(annulus, CriticalType(Target.CIRCLE, (), 1, 1, 0, {"a": -1, "b": 1}))
 
 
 def test_is_realizable_needs_attainable_extrema():
@@ -125,57 +128,69 @@ def test_is_realizable_null_homotopic_circle_needs_extrema():
     assert is_realizable(torus, CriticalType(Target.CIRCLE, (1, 0), 0, 0, 0))
 
 
-def _half(side, genus, labels_out, labels_cut, c0, c2, extra=()):
-    outer_sign = -1 if side == "lower" else 1
-    eps = {l: outer_sign for l in labels_out}
-    eps.update({l: -outer_sign for l in labels_cut})
-    eps.update(dict(extra))
-    b = len(eps)
-    chi = 2 - 2 * genus - b
-    c1 = c0 + c2 - chi
-    s = Surface(True, genus, tuple(eps))
-    k = CriticalType(Target.LINE, (0,) * (2 * genus), c0, c1, c2, eps)
-    return HalfPiece(side, s, k, frozenset(labels_out), frozenset(labels_cut))
+ANNULUS = Surface(True, 0, ("b", "t"))
+# a lower disc with a minimum, below the seam "a"
+DISC = line_type(1, 0, 0, {"a": 1})
+# a lower cylinder from the bottom circle "b" up to the seam "c"
+CYLINDER = line_type(0, 0, 0, {"b": -1, "c": 1})
+# an upper pair of pants from the seams "a" and "c" up to the top circle "t"
+PANTS = line_type(0, 1, 0, {"a": -1, "c": -1, "t": 1})
 
 
-def test_composite_minimal_cylinder_stack():
-    lower = _half("lower", 0, ["B"], ["Z"], 0, 0)
-    upper = _half("upper", 0, ["T"], ["Z"], 0, 0)
-    gluing = [((0, "Z"), (1, "Z"))]
-    assert is_minimal_composite([lower, upper], gluing)
+def test_glued_type_of_minimal_pieces_need_not_be_minimal():
+    # each piece is minimal, but the glued map on the annulus has a minimum
+    # and a saddle that the map with no critical points does without
+    assert all(
+        is_minimal(Surface(True, 0, tuple(k.eps)), k) for k in (DISC, CYLINDER, PANTS)
+    )
+    k = glued_type(ANNULUS, [DISC, CYLINDER, PANTS], ["a", "c"])
+    assert k == line_type(1, 1, 0, {"b": -1, "t": 1})
+    assert not is_minimal(ANNULUS, k)
 
 
-def test_composite_fails_without_middle_level():
-    # two minimal cylinders, nothing glued: the middle level is empty
-    lower = _half("lower", 0, ["B"], [], 0, 0, extra=[("X", 1)])
-    upper = _half("upper", 0, ["T"], [], 0, 0, extra=[("Y", -1)])
-    assert not is_minimal_composite([lower, upper], [])
+def test_glued_type_cylinder_stack_is_minimal():
+    lower = line_type(0, 0, 0, {"b": -1, "z": 1})
+    upper = line_type(0, 0, 0, {"z": -1, "t": 1})
+    k = glued_type(ANNULUS, [lower, upper], ["z"])
+    assert k == line_type(0, 0, 0, {"b": -1, "t": 1})
+    assert is_minimal(ANNULUS, k)
+    # capped by a maximum instead, the stack is the minimal map on the disc
+    cap = line_type(0, 0, 1, {"z": -1})
+    disc = Surface(True, 0, ("b",))
+    assert is_minimal(disc, glued_type(disc, [lower, cap], ["z"]))
+    assert not is_minimal(disc, glued_type(disc, [lower._replace(c0=1, c1=1), cap], ["z"]))
 
 
-def test_composite_fails_when_component_misses_a_side():
-    # the glued component meets the middle level but never the top
-    lower = _half("lower", 0, ["B"], ["Z"], 0, 0)
-    upper = _half("upper", 0, [], ["Z"], 0, 1)  # closes with a maximum
-    gluing = [((0, "Z"), (1, "Z"))]
-    assert not is_minimal_composite([lower, upper], gluing)
+def test_glued_type_adds_genus_through_two_seams():
+    # two pairs of pants glued along two circles: one handle
+    below = line_type(0, 1, 0, {"b": -1, "x": 1, "y": 1})
+    above = line_type(0, 1, 0, {"x": -1, "y": -1, "t": 1})
+    holed_torus = Surface(True, 1, ("b", "t"))
+    k = glued_type(holed_torus, [below, above], ["x", "y"])
+    assert (k.q, k.c1) == ((0, 0), 2)
+    assert is_minimal(holed_torus, k)
 
 
-def test_composite_fails_when_a_half_is_not_minimal():
-    lower = _half("lower", 0, ["B"], ["Z"], 1, 1)  # extra extrema
-    upper = _half("upper", 0, ["T"], ["Z"], 0, 0)
-    gluing = [((0, "Z"), (1, "Z"))]
-    assert not is_minimal_composite([lower, upper], gluing)
-
-
-def test_composite_rejects_malformed_gluing():
-    lower = _half("lower", 0, ["B"], ["Z"], 0, 0)
-    upper = _half("upper", 0, ["T"], ["Z"], 0, 0)
-    with pytest.raises(ValueError, match="lower and an upper"):
-        is_minimal_composite([lower, lower], [((0, "Z"), (1, "Z"))])
-    with pytest.raises(ValueError, match="unglued"):
-        is_minimal_composite([lower, upper], [])
-    with pytest.raises(ValueError, match="glued twice"):
-        is_minimal_composite(
-            [lower, _half("upper", 0, ["T"], ["Z", "Z2"], 0, 0)],
-            [((0, "Z"), (1, "Z")), ((0, "Z"), (1, "Z2"))],
-        )
+def test_glued_type_rejects_malformed_gluing():
+    pieces = [DISC, CYLINDER, PANTS]
+    with pytest.raises(ValueError, match="line-valued"):
+        glued_type(ANNULUS, [DISC, CYLINDER, PANTS._replace(target=Target.CIRCLE)], ["a", "c"])
+    with pytest.raises(ValueError, match="not a string"):
+        glued_type(ANNULUS, pieces, "ac")
+    with pytest.raises(ValueError, match="seam 'z'"):  # on no piece
+        glued_type(ANNULUS, pieces, ["a", "c", "z"])
+    with pytest.raises(ValueError, match="seam 't'"):  # on one piece
+        glued_type(Surface(True, 0, ("b",)), pieces, ["a", "c", "t"])
+    lower = line_type(0, 0, 0, {"b": -1, "z": 1})
+    with pytest.raises(ValueError, match="seam 'z'"):  # +1 on both pieces
+        glued_type(ANNULUS, [lower, lower._replace(eps={"z": 1, "t": 1})], ["z"])
+    with pytest.raises(ValueError, match="label 'a' is on 2 pieces"):
+        glued_type(ANNULUS, pieces, ["c"])
+    with pytest.raises(ValueError, match="c0 - c1 \\+ c2 = chi"):
+        glued_type(Surface(True, 1, ("b", "t")), pieces, ["a", "c"])
+    with pytest.raises(ValueError, match="do not match surface boundary"):
+        glued_type(Surface(True, 1), pieces, ["a", "c"])
+    # two cylinders with no seam between them are not one connected surface
+    apart = [line_type(0, 0, 0, {"b": -1, "x": 1}), line_type(0, 0, 0, {"y": -1, "t": 1})]
+    with pytest.raises(ValueError, match="c0 - c1 \\+ c2 = chi"):
+        glued_type(Surface(True, 0, ("b", "x", "y", "t")), apart, [])

@@ -330,6 +330,15 @@ def test_boundary_label_must_be_one_hmesh_word(label):
         m._replace(boundary_cycles=cycles)
 
 
+@pytest.mark.parametrize("orientable", ["orientable", 1, None], ids=repr)
+def test_mesh_orientable_must_be_a_bool(orientable):
+    m = meshes.cylinder()
+    with pytest.raises(ValueError, match="orientable must be True or False"):
+        HeightMesh(orientable, m.heights, m.triangles, m.boundary_cycles)
+    with pytest.raises(ValueError, match="orientable must be True or False"):
+        m._replace(orientable=orientable)
+
+
 def test_hmesh_round_trip_keeps_any_one_word_label():
     rng = random.Random(23)
     symbols = '#"\\/:öx-'

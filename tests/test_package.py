@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from morse_topo.canonical import canonical_kr_graph
-from morse_topo.classify import HalfPiece
 from morse_topo.krgraph import critical_type_of, cut_at_level
 from morse_topo.mcg import (
     degree_along,
@@ -21,6 +20,7 @@ from morse_topo.surface import CriticalType, Surface, Target
 from morse_topo.symplectic import GenPower, SpMatrix, evaluate, gen
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "morse_topo"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 TETRA_HEIGHTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 TETRA_TRIANGLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -65,8 +65,6 @@ INTAKE_SITES = {
 def _records():
     """Per record type: (a record, an equal one built from other input, its
     repr text, a ``_replace`` its checks refuse, and the message)."""
-    disk = Surface(True, 0, ("x",))
-    lower = CriticalType(Target.LINE, (), 0, 0, 1, {"x": -1})
     circle = canonical_kr_graph(TORUS, {}, 0, 0, (1, 0), Target.CIRCLE)
     piece = cut_at_level(circle, Fraction(1, 1000))[0]
     return {
@@ -84,16 +82,6 @@ def _records():
             "c2=0, eps={'b': -1, 'a': 1})",
             {"c1": -1},
             "critical point counts must be non-negative",
-        ),
-        "half-piece": (
-            HalfPiece("lower", disk, lower, frozenset({"x"}), frozenset()),
-            HalfPiece("lower", disk, lower, ["x"], ()),
-            "HalfPiece(side='lower', surface=Surface(orientable=True, genus=0, "
-            "boundary=('x',)), ktype=CriticalType(target=<Target.LINE: 'Line'>, q=(), "
-            "c0=0, c1=0, c2=1, eps={'x': -1}), outer_labels=frozenset({'x'}), "
-            "cut_labels=frozenset())",
-            {"side": "middle"},
-            "side must be 'lower' or 'upper'",
         ),
         "height-mesh": (
             HeightMesh(True, (0, Fraction(1, 2), 2, 3), TETRA_TRIANGLES),
@@ -128,7 +116,7 @@ def test_records_are_checked_immutable_tuples(name):
     try:
         assert hash(twin) == hash(record)
     except TypeError:
-        assert name in ("critical-type", "half-piece")  # ``eps`` is a dict
+        assert name == "critical-type"  # ``eps`` is a dict
     assert record._replace() == record
     if bad is not None:
         with pytest.raises(ValueError) as caught:
@@ -222,18 +210,24 @@ def _loaded(tree):
     }
 
 
-def test_every_definition_is_used():
-    # a name counts as used when the package loads it, reads it as an
-    # attribute or imports it; ``cli.main`` finds ``cmd_*`` by name
-    modules = list(_modules())
+def _used(trees):
+    """Names the trees load, read as an attribute or import."""
     used = set()
-    for _, tree in modules:
+    for tree in trees:
         used |= _loaded(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_definition_is_used():
+    # a name counts as used when the package loads it, reads it as an
+    # attribute or imports it; ``cli.main`` finds ``cmd_*`` by name
+    modules = list(_modules())
+    used = _used(tree for _, tree in modules)
     dead = [
         f"{module}.{name}"
         for module, tree in modules
@@ -252,3 +246,17 @@ def test_every_definition_is_used():
         if name not in _loaded(tree)
     ]
     assert dead == []
+
+
+def test_every_export_is_tested():
+    # a name the package re-exports counts as tested when some test module
+    # loads it, reads it as an attribute or imports it
+    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    exports = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    tests = (ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py"))
+    assert sorted(exports - _used(tests)) == []

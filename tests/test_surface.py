@@ -33,6 +33,22 @@ def test_surface_invariants():
     assert Surface(False, 3).homology_rank == 2
 
 
+@pytest.mark.parametrize("orientable", ["no", 1, 0, None], ids=repr)
+def test_surface_orientable_must_be_a_bool(orientable):
+    # a non-empty string once read as orientable, and 0 as non-orientable
+    with pytest.raises(ValueError, match="orientable must be True or False"):
+        Surface(orientable, 1)
+    with pytest.raises(ValueError, match="orientable must be True or False"):
+        Surface(True, 1)._replace(orientable=orientable)
+
+
+def test_surface_boundary_must_not_be_a_string():
+    # a string once became one boundary circle per character
+    with pytest.raises(ValueError, match="not a string"):
+        Surface(True, 0, "hole")
+    assert Surface(True, 0, ("hole",)).num_boundary == 1
+
+
 @given(
     orientable=st.booleans(),
     genus=st.integers(0, 5),
