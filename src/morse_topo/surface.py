@@ -147,6 +147,12 @@ class CriticalType(_CriticalType):
 
     # the default ``eps`` is only read: ``_check_signs`` copies it
     def __new__(cls, target, q, c0, c1, c2, eps={}):
+        if not isinstance(target, Target):
+            raise ValueError(f"target must be a Target, got {target!r}")
+        if not isinstance(eps, Mapping):
+            raise ValueError(
+                f"boundary signs must be a mapping, got {type(eps).__name__}"
+            )
         q = _int_vector(q, "q entries")
         c0, c1, c2 = _int_vector((c0, c1, c2), "critical point counts")
         eps = _check_signs(eps)

@@ -73,6 +73,7 @@ class SpMatrix:
         return tuple(row[j] for row in self.rows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        vec = _int_vector(vec)
         if len(vec) != self.n:
             raise ValueError("vector length does not match matrix size")
         return tuple(sum(row[k] * vec[k] for k in range(self.n)) for row in self.rows)
@@ -115,6 +116,7 @@ def omega_matrix(g: int) -> SpMatrix:
 
 def omega_product(x: Sequence[int], y: Sequence[int]) -> int:
     """The alternating form: sum of x_i y_{g+i} - x_{g+i} y_i."""
+    x, y = _int_vector(x), _int_vector(y)
     if len(x) != len(y) or len(x) % 2 != 0:
         raise ValueError("vectors must have equal even length")
     g = len(x) // 2
@@ -378,6 +380,10 @@ class _Eliminator:
         Without this step the entries of each residual block grow with
         every level of the elimination (intermediate swell), and a sweep
         over the rows alone stalls where all rows are about equally long.
+        Each sweep decides its moves from the Gram matrix of the rows it
+        reduces alone and carries each block row as one packed integer:
+        no sweep raises the squared norm F it starts from, so no entry
+        leaves +-isqrt(F) and the packing stays exact (see ``_sweep``).
         """
         right: list[GenPower] = []
         while True:
@@ -391,26 +397,36 @@ class _Eliminator:
     def _sweep(self) -> bool:
         """Greedily lower the summed squared norm of the rows.
 
-        Works on one table: row x is the block's row x followed by row x of
-        the Gram matrix G = rows * rows^T, and a zero row is appended.  A
-        move I + tN adds t*v*row[c] to row[r] for each entry (r, c, v) of N,
-        and never reads a row it writes, so the squared norms of the rows it
-        changes sum to A t^2 + 2 B t + const with A = sum G[c][c] and
-        B = sum v G[r][c].  The block is 2g x 2g, so ``_sweep_moves(g)``
-        holds the table positions of each move's one or two entries, and A
-        and B take two reads each; a move with one entry reads the zero row
-        as its second.  The nearest integer t to -B/A (t = 0 exactly when
-        -A < 2B <= A) is applied only when it strictly lowers the norm, so
-        the sweep over all named generators terminates; it is repeated
-        until a pass changes nothing.  An applied move adds t*v times row c
-        to row r, block and Gram part at once, then t*v times Gram column c
-        to Gram column r entry by entry, adding or subtracting without a
-        product when t*v = +-1.  Its letter goes into ``ops`` inverted, with
-        exponent -t.  The block rows are copied back out of the table at the
-        end.  Returns whether any move was applied.
+        Works on the Gram matrix G = rows * rows^T, kept as a table of its
+        n rows with a zero row appended.  A move I + tN adds t*v*row[c] to
+        row[r] for each entry (r, c, v) of N, and never reads a row it
+        writes, so the squared norms of the rows it changes sum to
+        A t^2 + 2 B t + const with A = sum G[c][c] and B = sum v G[r][c].
+        ``_sweep_moves(g)`` holds the table positions of each move's one or
+        two entries, and A and B take two reads each; a move with one entry
+        reads the zero row as its second.  The nearest integer t to -B/A
+        (t = 0 exactly when -A < 2B <= A) is applied only when it strictly
+        lowers the norm, so the sweep over all named generators terminates;
+        it is repeated until a pass changes nothing.  Its letter goes into
+        ``ops`` inverted, with exponent -t.
+
+        Each entry of an applied move, with tv = t*v, adds tv times Gram
+        row c to Gram row r, adds tv times the new row's entry c to its
+        diagonal entry r, and copies the new row into Gram column r; G is
+        symmetric, so that is column r plus tv times column c.  The block
+        rows are packed, each into one integer sum x_k M^k with balanced
+        digits: the squared norm F of the block at the start bounds every
+        entry by isqrt(F) for the whole sweep, since no applied move raises
+        it, so with M = 2 isqrt(F) + 3 packing is linear and block row r
+        gains tv times block row c in one integer operation.  A row is
+        packed when a move first reads or writes it, and only the rows
+        written are unpacked at the end, each checked against its Gram
+        diagonal.  Returns whether any move was applied.
         """
         rows = self.rows
-        if sum(x * x for row in rows for x in row) == len(rows):
+        norm = sum(x * x for row in rows for x in row)
+        n = len(rows)
+        if norm == n:
             # every row is a signed unit vector: the norm is already minimal
             return False
         # G is symmetric: take the dot products of its lower triangle once
@@ -418,19 +434,19 @@ class _Eliminator:
             [sum(map(operator.mul, ra, rb)) for rb in rows[: x + 1]]
             for x, ra in enumerate(rows)
         ]
-        n = len(rows)
-        table = [
-            rows[x] + low[x] + [low[y][x] for y in range(x + 1, n)] for x in range(n)
-        ]
-        table.append([0] * (2 * n))
+        table = [low[x] + [low[y][x] for y in range(x + 1, n)] for x in range(n)]
+        # one-entry moves read G[n][n]; ``zip(table, new)`` stops before it
+        table.append([0] * (n + 1))
+        base = 2 * math.isqrt(norm) + 3
+        packed: list[int | None] = [None] * n
+        written = set()
         ops, off = self.ops, self.offset
-        applied = False
         changed = True
         while changed:
             changed = False
-            for name, i, j, c1, d1, r1, s1, c2, d2, r2, s2, nil in _sweep_moves(self.g):
-                a = table[c1][d1] + table[c2][d2]
-                b2 = 2 * (s1 * table[r1][d1] + s2 * table[r2][d2])
+            for c1, r1, s1, c2, r2, s2, (name, i, j), nil in _sweep_moves(self.g):
+                a = table[c1][c1] + table[c2][c2]
+                b2 = s1 * table[r1][c1] + s2 * table[r2][c2]
                 if -a < b2 <= a:
                     continue
                 t = (a - b2) // (2 * a)
@@ -439,28 +455,34 @@ class _Eliminator:
                 ops.append(GenPower(name, i + off, None if j is None else j + off, -t))
                 for r, c, v in nil:
                     tv = t * v
+                    src, dst = packed[c], packed[r]
+                    if src is None:
+                        src = packed[c] = _pack(rows[c], base)
+                    if dst is None:
+                        dst = _pack(rows[r], base)
                     # t * v = +-1 for nearly every move: add or subtract rows
                     if tv == 1:
-                        table[r] = list(map(operator.add, table[r], table[c]))
+                        new = list(map(operator.add, table[r], table[c]))
+                        new[r] += new[c]
+                        packed[r] = dst + src
                     elif tv == -1:
-                        table[r] = list(map(operator.sub, table[r], table[c]))
+                        new = list(map(operator.sub, table[r], table[c]))
+                        new[r] -= new[c]
+                        packed[r] = dst - src
                     else:
-                        table[r] = [x + tv * y for x, y in zip(table[r], table[c])]
-                for r, c, v in nil:
-                    tv, gr, gc = t * v, n + r, n + c
-                    if tv == 1:
-                        for row in table:
-                            row[gr] += row[gc]
-                    elif tv == -1:
-                        for row in table:
-                            row[gr] -= row[gc]
-                    else:
-                        for row in table:
-                            row[gr] += tv * row[gc]
-                changed = applied = True
-        if applied:
-            rows[:] = [row[:n] for row in table[:n]]
-        return applied
+                        new = [x + tv * y for x, y in zip(table[r], table[c])]
+                        new[r] += tv * new[c]
+                        packed[r] = dst + tv * src
+                    table[r] = new
+                    for row, x in zip(table, new):
+                        row[r] = x
+                    written.add(r)
+                changed = True
+        for r in written:
+            rows[r] = _unpack(packed[r], base, n)
+            if sum(map(operator.mul, rows[r], rows[r])) != table[r][r]:
+                raise AssertionError("unpacked row does not match its Gram entry")
+        return bool(written)
 
     # -- column stage: drive column 0 to the first basis vector ------------
 
@@ -533,15 +555,14 @@ def _sweep_moves(g: int) -> tuple:
     """Every named generator at genus g, in sweep order, with the table
     positions ``_Eliminator._sweep`` reads and writes for it.
 
-    A move is (name, i, j, c1, d1, r1, s1, c2, d2, r2, s2, nil): ``nil``
-    holds the (r, c, v) entries of its nilpotent part, entry k is
-    (rk, ck, sk), and dk = 2g + ck is the Gram column of ck in the sweep's
-    table.  A move with one entry (Ta, Tb) takes the table's zero row,
-    index 2g, as its second.  Cached: each level sweeps its rows and its
-    columns at least once each with the same moves, and factorisations at
-    one genus share them.  Every move is built through ``gen``, so it is
-    checked once per genus; ``_Eliminator._sweep`` then records its powers
-    without ``gen``.
+    A move is (c1, r1, s1, c2, r2, s2, (name, i, j), nil): ``nil`` holds
+    the (rk, ck, vk) entries of its nilpotent part and sk = 2 vk, so the
+    sweep reads G[ck][ck] and G[rk][ck] from its Gram table and takes
+    2B = s1 G[r1][c1] + s2 G[r2][c2].  A move with one entry (Ta, Tb)
+    takes the table's zero row, index 2g, as its second.  Cached: each level sweeps its rows and its columns at least
+    once each with the same moves, and factorisations at one genus share
+    them.  Every move is built through ``gen``, so it is checked once per
+    genus; ``_Eliminator._sweep`` then records its powers without ``gen``.
     """
     n = 2 * g
     moves = []
@@ -555,11 +576,35 @@ def _sweep_moves(g: int) -> tuple:
     table = []
     for m in moves:
         nil = tuple(_nilpotent_part(gen(*m), g))
-        reads = [(c, n + c, r, v) for r, c, v in nil]
+        reads = [(c, r, 2 * v) for r, c, v in nil]
         if len(reads) == 1:
-            reads.append((n, n, n, 1))
-        table.append(m + reads[0] + reads[1] + (nil,))
+            reads.append((n, n, 2))
+        table.append(reads[0] + reads[1] + (m, nil))
     return tuple(table)
+
+
+def _pack(row: Sequence[int], base: int) -> int:
+    """The integer sum row[k] * base^k.  Its balanced base-``base`` digits
+    are the entries when every entry lies within +-(base // 2)."""
+    packed = 0
+    for x in reversed(row):
+        packed = packed * base + x
+    return packed
+
+
+def _unpack(packed: int, base: int, n: int) -> list[int]:
+    """The ``n`` balanced digits of ``packed`` in the odd base ``base``,
+    lowest first; raises if they do not account for all of it."""
+    half = base // 2
+    # shifted by sum half * base^k, the digits are the plain ones, 0..base-1
+    packed += (base**n - 1) // (base - 1) * half
+    row = []
+    for _ in range(n):
+        packed, x = divmod(packed, base)
+        row.append(x - half)
+    if packed:
+        raise AssertionError("packed row has digits beyond its length")
+    return row
 
 
 def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:

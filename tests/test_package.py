@@ -17,7 +17,7 @@ from morse_topo.mcg import (
 )
 from morse_topo.mesh import HeightMesh
 from morse_topo.surface import CriticalType, Surface, Target
-from morse_topo.symplectic import GenPower, SpMatrix, evaluate, gen
+from morse_topo.symplectic import GenPower, SpMatrix, evaluate, gen, omega_product
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "morse_topo"
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -59,6 +59,8 @@ INTAKE_SITES = {
     "evaluate-j": lambda x: evaluate((GenPower("Nu", 1, x, 1),), 2),
     "evaluate-exp": lambda x: evaluate((GenPower("Ta", 1, None, x),), 1),
     "sp-matrix": lambda x: SpMatrix([[x, 0], [0, 1]]),
+    "sp-apply": lambda x: SpMatrix.identity(1).apply([0, x]),
+    "omega-product": lambda x: omega_product([x, 0], [0, 1]),
 }
 
 

@@ -93,6 +93,26 @@ def test_validate_rejects_mismatched_labels():
         validate_critical_type(s, k)
 
 
+@pytest.mark.parametrize(
+    "target, eps, message",
+    [
+        ("Line", {}, "target must be a Target"),
+        ("Circle", {}, "target must be a Target"),
+        (None, {}, "target must be a Target"),
+        (Target.LINE, "ab", "must be a mapping"),
+        (Target.LINE, [("a", 1)], "must be a mapping"),
+    ],
+    ids=["line-text", "circle-text", "none", "eps-text", "eps-pairs"],
+)
+def test_critical_type_checks_target_and_signs(target, eps, message):
+    # the text "Line" once passed on the torus as a circle-valued type, and
+    # labels given as a string reached ``.values()`` as an AttributeError
+    with pytest.raises(ValueError, match=message):
+        CriticalType(target, (), 1, 0, 1, eps)
+    with pytest.raises(ValueError, match=message):
+        CriticalType(Target.LINE, (), 1, 0, 1)._replace(target=target, eps=eps)
+
+
 def test_line_target_forces_zero_q():
     torus = Surface(True, 1)
     k = CriticalType(Target.LINE, (1, 0), 1, 2, 1)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import operator
 import os
 import random
@@ -16,6 +17,8 @@ from morse_topo.symplectic import (
     SpMatrix,
     _Eliminator,
     _nilpotent_part,
+    _pack,
+    _unpack,
     evaluate,
     format_matrix,
     format_word,
@@ -280,7 +283,7 @@ def pinned_outputs(workdir):
     from morse_topo import cli
 
     texts = {}
-    for g in (4, 8, 10, 13):
+    for g in (4, 8, 10, 13, 20):
         h = evaluate(bench_style_word(g, 20 * g, random.Random(f"pinned:{g}")), g)
         texts[f"sp-decompose g={g}"] = format_word(stabilizer_decompose(h))
     # factor at g=6 on a matrix fixing L = P e0 != e0, so factor conjugates
@@ -317,6 +320,9 @@ PINNED_DIGESTS = {
     "sp-decompose g=8": "5500c193c9e6e55ca9e2ea623c89d1408ef4487091abd51f4a492735bf4220c5",
     "sp-decompose g=10": "8324ad13847f52aa65fea8f8fdd3b32c3f1647506a374b31baf62cf892f4ef75",
     "sp-decompose g=13": "d8585e216cb383aa3bdad4955de52e4fe6215828bfdc9f598aa1467fdc39090f",
+    # recorded before the sweep packed its block rows: from g = 16 on, most
+    # sweeps apply a few moves each
+    "sp-decompose g=20": "541cb3c23dee5925c5c72cfac03de3b77c0e22dd1bc3c426fab9d3e59c191016",
     "factor g=6": "a86950f07b6caf3941f6f745584ffb07532b425566a4e3c88aadc209a8d1ede7",
     # recorded before factor_stabilizer took over the conjugation
     "factor g=7 L=e0": "acf6786cc8d48aa8aa9ae054cc8ce73093595d44456b9b15f04293091a97c382",
@@ -483,16 +489,17 @@ def reference_sweep(self):
     return applied
 
 
-class BoundedList(list):
-    """A list that refuses to grow past ``limit`` items."""
+class ExpectedLetters(list):
+    """A list that refuses any item but the next one of ``expected``."""
 
-    def __init__(self, items, limit):
+    def __init__(self, items, expected):
         super().__init__(items)
-        self.limit = limit
+        self.expected = list(items) + list(expected)
 
     def append(self, item):
-        if len(self) >= self.limit:
-            raise AssertionError("the sweep applied more moves than the reference")
+        k = len(self)
+        if k >= len(self.expected) or item != self.expected[k]:
+            raise AssertionError(f"the sweep's letter {k} differs from the reference")
         super().append(item)
 
 
@@ -508,9 +515,9 @@ def sweeps_checked_against_reference(run):
         ref = _Eliminator([list(row) for row in self.rows], self.offset)
         expected = reference_sweep(ref)
         ops, start = self.ops, len(self.ops)
-        # a wrong kernel may apply norm-raising moves without end: stop it
-        # at the first letter beyond those the reference recorded
-        self.ops = BoundedList(ops, start + len(ref.ops))
+        # a wrong kernel may apply moves without end, its entries growing
+        # with each: stop it at its first letter that is not the reference's
+        self.ops = ExpectedLetters(ops, [p._replace(exp=-p.exp) for p in ref.ops])
         try:
             applied = kernel(self)
         finally:
@@ -541,6 +548,46 @@ def test_sweep_matches_reference_at_genus_13():
     letters = sweeps_checked_against_reference(lambda: stabilizer_decompose(h))
     assert any(abs(p.exp) > 1 for p in letters)
     assert any(p.name in ("Ta", "Tb") for p in letters)
+
+
+def test_sweep_matches_reference_at_genus_18():
+    # below the first level, most sweeps apply a few moves each, so many
+    # rows are read as the source of a move and never written
+    g = 18
+    h = evaluate(bench_style_word(g, 20 * g, random.Random("oracle:18")), g)
+    sweeps_checked_against_reference(lambda: stabilizer_decompose(h))
+
+
+@st.composite
+def packable_rows(draw):
+    """(row, base) with every entry within isqrt(F) of zero for a drawn F,
+    one entry reaching exactly +-isqrt(F), and base = 2 isqrt(F) + 3."""
+    n = draw(st.integers(2, 52))
+    bound = math.isqrt(draw(st.integers(1, 2**80)))
+    row = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([bound, -bound]))
+    return row, 2 * bound + 3
+
+
+@given(packable_rows(), st.integers(-3, 3))
+def test_packed_rows_round_trip(case, tv):
+    row, base = case
+    n = len(row)
+    assert _unpack(_pack(row, base), base, n) == row
+    # packing is linear: a row plus tv times another unpacks as the sum
+    # whenever the sum's entries stay in range, as the sweep's do
+    other = row[::-1]
+    total = [x + tv * y for x, y in zip(row, other)]
+    if max(map(abs, total)) <= base // 2:
+        assert _unpack(_pack(row, base) + tv * _pack(other, base), base, n) == total
+
+
+@given(packable_rows(), st.sampled_from([1, -1]))
+def test_unpack_rejects_an_out_of_range_digit(case, sign):
+    row, base = case
+    row[-1] = sign * (base // 2 + 1)
+    with pytest.raises(AssertionError, match="beyond its length"):
+        _unpack(_pack(row, base), base, len(row))
 
 
 def test_general_sp_factor_examples():
