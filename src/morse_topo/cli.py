@@ -7,12 +7,13 @@ matrix), ``admissible``/``factor``/``generators`` (homology action of
 mapping classes).  Bad input exits 1 with a one-line JSON error on stderr:
 ``io:`` for an unreadable file, ``format:`` for text that does not parse
 (``FormatError``), ``domain:`` for any other ``ValueError``.  Any other
-exception exits 3 with an ``internal:`` error and is logged to the
-``morse_topo`` logger (``main`` imports ``logging`` on that path alone and
-gives the logger a ``NullHandler`` there if it has no handler); usage
-errors exit 2, among them an integer flag that is not an ASCII decimal
-integer.  A standard output closed early (a pipe into ``head``) exits 1
-with no error line.  All output is deterministic.
+exception exits 3 with an ``internal:`` error, among them the
+``AssertionError`` of a failed check of the package's own result, and is
+logged to the ``morse_topo`` logger (``main`` imports ``logging`` on that
+path alone and gives the logger a ``NullHandler`` there if it has no
+handler); usage errors exit 2, among them an integer flag that is not an
+ASCII decimal integer.  A standard output closed early (a pipe into
+``head``) exits 1 with no error line.  All output is deterministic.
 
 ``main`` may be called many times in one process, and each call behaves
 like a fresh process.  The argparse tree is built once per process, and

@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .surface import CriticalType, Surface, Target, validate_critical_type
+from .surface import CriticalType, Surface, Target, _Checked, validate_critical_type
 
 
 # boundary labels of the two sides of a cut; the circle normal form places
@@ -73,7 +73,7 @@ class _KRVertex(NamedTuple):
     boundary_label: str | None = None
 
 
-class KRVertex(_KRVertex):
+class KRVertex(_Checked, _KRVertex):
     """A vertex, as an immutable tuple record ``(id, kind, height,
     boundary_label)``: it unpacks, and it compares equal to the plain tuple
     of its fields.  Construction, ``_make`` and ``_replace`` all make the
@@ -88,10 +88,6 @@ class KRVertex(_KRVertex):
             raise ValueError("boundary label exactly on BoundaryCircle vertices")
         return tuple.__new__(cls, (id, kind, height, boundary_label))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class _KREdge(NamedTuple):
     id: int
@@ -100,7 +96,7 @@ class _KREdge(NamedTuple):
     lift: tuple[int | Fraction, int | Fraction] | None = None
 
 
-class KREdge(_KREdge):
+class KREdge(_Checked, _KREdge):
     """Oriented edge from ``tail`` (lower) to ``head`` (higher), as an
     immutable tuple record ``(id, tail, head, lift)``: it unpacks, and it
     compares equal to the plain tuple of its fields.
@@ -118,10 +114,6 @@ class KREdge(_KREdge):
             lo, hi = lift
             lift = (_exact(lo), _exact(hi))
         return tuple.__new__(cls, (id, tail, head, lift))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class KRGraph:

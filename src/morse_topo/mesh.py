@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .krgraph import KREdge, KRGraph, KRVertex, VertexKind
-from .surface import CriticalType, FormatError, Surface, Target, _int_reader, _int_vector, validate_critical_type
+from .krgraph import KREdge, KRGraph, KRVertex, VertexKind, _exact, critical_type_of
+from .surface import CriticalType, FormatError, Surface, Target, _Checked, _int_reader, _int_vector
 
 
 class MeshFormatError(FormatError):
@@ -47,7 +47,7 @@ class _HeightMesh(NamedTuple):
     boundary_cycles: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
-class HeightMesh(_HeightMesh):
+class HeightMesh(_Checked, _HeightMesh):
     """A checked mesh, as an immutable tuple record ``(orientable, heights,
     triangles, boundary_cycles)``: it unpacks, and it compares equal to the
     plain tuple of its fields.  Construction, ``_make`` and ``_replace``
@@ -70,10 +70,9 @@ class HeightMesh(_HeightMesh):
             raise ValueError("orientable must be True or False")
         # convert only what is not already a tuple of the right types, as
         # ``parse_hmesh`` builds it: collecting the types (in C) costs a
-        # tenth of rebuilding every height and triangle.  An ``int`` height
-        # stays an ``int``; a ``bool`` or ``float`` becomes a ``Fraction``
+        # tenth of rebuilding every height and triangle
         if type(heights) is not tuple or set(map(type, heights)) - {int, Fraction}:
-            heights = tuple(h if type(h) in (int, Fraction) else Fraction(h) for h in heights)
+            heights = tuple(map(_exact, heights))
         if (
             type(triangles) is not tuple
             or set(map(type, triangles)) - {tuple}
@@ -96,10 +95,6 @@ class HeightMesh(_HeightMesh):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a HeightMesh is immutable")
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def num_vertices(self) -> int:
@@ -410,8 +405,9 @@ def _split_circle(v: int, runs, rank: list[int], links, n: int):
 
 
 def _sweep(m: HeightMesh):
-    """Graph vertices, (tail, head) arcs and boundary signs of the Reeb
-    graph, by one sweep that classifies each vertex when it reaches it.
+    """Graph vertices and (tail, head) arcs of the Reeb graph, by one
+    sweep that classifies each vertex when it reaches it; the graph reads
+    the boundary signs off the arcs.
 
     The vertices are sorted once by the integer keys built with the mesh,
     ties by vertex id (the sort is stable), and from then on only integer
@@ -440,7 +436,7 @@ def _sweep(m: HeightMesh):
     closed = 0  # circles closed or merged; each fresh id opens one
     vertices: list[KRVertex] = []
     arcs: list[tuple[int, int]] = []
-    eps: dict[str, int] = {}
+    swept: set[str] = set()  # boundary labels
 
     def fresh(at: int) -> int:
         parent.append(len(parent))
@@ -460,8 +456,9 @@ def _sweep(m: HeightMesh):
         vid = len(vertices)
         if v in on_boundary:
             label, cyc = on_boundary[v]
-            if label in eps:
+            if label in swept:
                 continue  # its cycle was swept with the cycle's first vertex
+            swept.add(label)
             above = {rank[w] > r for x in cyc for w in links[x][1:-1]}
             if not above:
                 raise NotMorseError(
@@ -474,14 +471,11 @@ def _sweep(m: HeightMesh):
                 )
             vertices.append(KRVertex(vid, VertexKind.BOUNDARY, m.heights[v], label))
             if above == {False}:
-                # surface below: the map increases towards the circle, and
-                # the level circle just below ends here
-                eps[label] = 1
+                # surface below: the level circle just below ends here
                 closed += 1
                 w, x = next((w, x) for x in cyc for w in links[x][1:-1])
                 arcs.append((start[circle(w, x)], vid))
             else:
-                eps[label] = -1
                 c = fresh(vid)
                 for x in cyc:
                     cid[x] = c
@@ -529,7 +523,7 @@ def _sweep(m: HeightMesh):
         vertices.append(KRVertex(vid, kind, m.heights[v]))
     if closed != len(parent):
         raise AssertionError("level circles left open after the sweep")
-    return vertices, arcs, eps
+    return vertices, arcs
 
 
 def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
@@ -539,8 +533,8 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     group.  Each interior vertex is classified when the sweep reaches it, by
     the runs of lower vertices around its link (none: a minimum; one:
     regular; two: a saddle; all of it: a maximum; more: ``NotMorseError``),
-    and each boundary cycle takes its sign from which side its interior
-    neighbours lie on.  Every swept vertex keeps the id of the level
+    and each boundary cycle, by which side its interior neighbours lie on,
+    ends a circle or opens one.  Every swept vertex keeps the id of the level
     circle its upper edges cross, and an edge crossing the sweep level
     carries the id of its lower end unless a split overrode it:
 
@@ -565,17 +559,17 @@ def extract_kr_graph(m: HeightMesh) -> tuple[KRGraph, CriticalType]:
     n integer height keys built with the mesh; exact heights are only
     compared in the tie check, and copied to the graph's vertices.  Graph
     vertices are numbered in height order and edges by (head, tail).
+    The type is read by ``critical_type_of``.  The mesh was accepted, so
+    a graph or type that fails its checks is a fault of the sweep and
+    raises ``AssertionError``.
     """
-    vertices, arcs, eps = _sweep(m)
+    vertices, arcs = _sweep(m)
     if any(a.height == b.height for a, b in zip(vertices, vertices[1:])):
         raise NotGenericError("event heights are not pairwise distinct")
-    edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(arcs)]
-    graph = KRGraph(Target.LINE, vertices, edges)
     surface = surface_of(m)
-    ktype = CriticalType(
-        Target.LINE, (0,) * surface.homology_rank, *graph.counts(), eps
-    )
-    problems = validate_critical_type(surface, ktype)
-    if problems:
-        raise AssertionError("sweep produced an inconsistent type: " + "; ".join(problems))
-    return graph, ktype
+    edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(arcs)]
+    try:
+        graph = KRGraph(Target.LINE, vertices, edges)
+        return graph, critical_type_of(graph, surface, (0,) * surface.homology_rank)
+    except ValueError as exc:
+        raise AssertionError(f"sweep produced an inconsistent graph: {exc}") from None

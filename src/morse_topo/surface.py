@@ -54,13 +54,24 @@ class Target(enum.Enum):
     CIRCLE = "Circle"
 
 
+class _Checked:
+    """First base of the checked tuple records: ``_make``, and so
+    ``_replace``, build through the record's class and check its fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _Surface(NamedTuple):
     orientable: bool
     genus: int
     boundary: tuple[str, ...] = ()
 
 
-class Surface(_Surface):
+class Surface(_Checked, _Surface):
     """A connected compact surface: orientability, genus, labelled boundary,
     as an immutable tuple record ``(orientable, genus, boundary)``: it
     unpacks, and it compares equal to the plain tuple of its fields.
@@ -86,10 +97,6 @@ class Surface(_Surface):
         if any(not isinstance(l, str) or not l for l in labels):
             raise ValueError("boundary labels must be non-empty strings")
         return tuple.__new__(cls, (orientable, genus, labels))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def num_boundary(self) -> int:
@@ -128,7 +135,7 @@ class _CriticalType(NamedTuple):
     eps: Mapping[str, int] = {}
 
 
-class CriticalType(_CriticalType):
+class CriticalType(_Checked, _CriticalType):
     """The complete path-component invariant of a Morse mapping.
 
     ``q`` is an integer vector of length ``homology_rank`` of the surface
@@ -159,10 +166,6 @@ class CriticalType(_CriticalType):
         if min(c0, c1, c2) < 0:
             raise ValueError("critical point counts must be non-negative")
         return tuple.__new__(cls, (target, q, c0, c1, c2, eps))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def b_minus(self) -> int:

@@ -504,6 +504,8 @@ class _Eliminator:
                 self.apply(*up, -(rows[x][0] // rows[y][0]))
 
     def reduce_first_column(self):
+        """Drive column 0 to e_0 with gcd moves.  Every caller has checked
+        that the column is primitive, so the moves end there."""
         g = self.g
         # gcd within each (a_i, b_i) coordinate pair
         for i in range(g):
@@ -517,37 +519,23 @@ class _Eliminator:
             self.apply("Tb", 1, None, 1)
             self.apply("Ta", 1, None, 2)
             self.apply("Tb", 1, None, 1)
-        if self.column_is(0, 0):
-            return
-        raise ValueError("matrix is not symplectic: first column not unimodular")
-
-    def column_is(self, col: int, basis_index: int) -> bool:
-        n = 2 * self.g
-        return all(
-            self.rows[r][col] == (1 if r == basis_index else 0) for r in range(n)
-        )
 
     # -- beta stage: fix the image of the first dual basis vector ----------
 
     def fix_first_beta(self):
-        """Assuming column 0 is e_0, drive column g to e_g.
+        """Drive column g to e_g, given a symplectic block whose column 0
+        is e_0, with Ta(1), Mu(1,*) and Nu(1,*), which fix e_0.
 
-        Uses only Ta(1), Mu(1,*) and Nu(1,*), all of which fix the first
-        basis vector.
+        form(e_0, column g) = 1 puts 1 in row g; the Mu and Nu moves clear
+        the other rows against it, and Ta(1) clears row 0 last.
+        ``_strip_first_pair`` checks the result.
         """
-        g = self.g
-        col = g
-        if self.rows[g][col] != 1:
-            raise ValueError(
-                "matrix is not symplectic: pairing of fixed vector broken"
-            )
+        g, rows = self.g, self.rows
         for i in range(1, g):
-            self.apply("Mu", 1, i + 1, self.rows[i][col])
+            self.apply("Mu", 1, i + 1, rows[i][g])
         for j in range(1, g):
-            self.apply("Nu", 1, j + 1, self.rows[g + j][col])
-        self.apply("Ta", 1, None, -self.rows[0][col])
-        if not self.column_is(col, g):
-            raise ValueError("matrix is not symplectic: beta column irreducible")
+            self.apply("Nu", 1, j + 1, rows[g + j][g])
+        self.apply("Ta", 1, None, -rows[0][g])
 
 
 @functools.lru_cache(maxsize=64)
@@ -608,7 +596,9 @@ def _unpack(packed: int, base: int, n: int) -> list[int]:
 
 
 def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:
-    """Drop the first hyperbolic pair from a block-diagonal matrix."""
+    """Drop the first hyperbolic pair from a block-diagonal matrix, after
+    checking that rows and columns 0 and g are the identity's: the one
+    check of the column and beta stages, so a failure is a fault."""
     g = len(rows) // 2
     n = 2 * g
     keep = list(range(1, g)) + list(range(g + 1, n))
@@ -616,7 +606,7 @@ def _strip_first_pair(rows: list[list[int]]) -> list[list[int]]:
         for c in range(n):
             expect = 1 if r == c else 0
             if rows[r][c] != expect or rows[c][r] != expect:
-                raise ValueError("residual matrix is not block-diagonal")
+                raise AssertionError("residual matrix is not block-diagonal")
     return [[rows[r][c] for c in keep] for r in keep]
 
 

@@ -684,7 +684,8 @@ def reference_sweep(m: HeightMesh):
     the id of every edge that crosses the sweep level in a dict keyed
     lower*n+upper, popping a vertex's lower edges and pushing its upper
     edges at every vertex, regular or not.  Open circles are the edges left
-    in the dict at the end."""
+    in the dict at the end.  Boundary signs are not kept: the graph reads
+    them off the arcs, and ``brute_force_reeb`` checks them."""
     n = m.num_vertices
     links = m._links
     order = sorted(range(n), key=m._keys.__getitem__)
@@ -697,7 +698,7 @@ def reference_sweep(m: HeightMesh):
     start: list[int] = []
     vertices: list[KRVertex] = []
     arcs: list[tuple[int, int]] = []
-    eps: dict[str, int] = {}
+    swept: set[str] = set()  # boundary labels
 
     def fresh(at: int) -> int:
         parent.append(len(parent))
@@ -714,8 +715,9 @@ def reference_sweep(m: HeightMesh):
         vid = len(vertices)
         if v in on_boundary:
             label, cyc = on_boundary[v]
-            if label in eps:
+            if label in swept:
                 continue
+            swept.add(label)
             above = {rank[w] > r for x in cyc for w in links[x][1:-1]}
             if not above:
                 raise NotMorseError(
@@ -728,13 +730,11 @@ def reference_sweep(m: HeightMesh):
                 )
             vertices.append(KRVertex(vid, VertexKind.BOUNDARY, m.heights[v], label))
             if above == {False}:
-                eps[label] = 1
                 for x in cyc:
                     for w in links[x][1:-1]:
                         c = contour.pop(w * n + x)
                 arcs.append((start[find(c)], vid))
             else:
-                eps[label] = -1
                 c = fresh(vid)
                 for x in cyc:
                     for w in links[x][1:-1]:
@@ -792,4 +792,4 @@ def reference_sweep(m: HeightMesh):
         vertices.append(KRVertex(vid, kind, m.heights[v]))
     if contour:
         raise AssertionError("level circles left open after the sweep")
-    return vertices, arcs, eps
+    return vertices, arcs

@@ -92,6 +92,16 @@ def test_is_minimal_line_cases():
     assert not is_minimal(s, line_type(1, 1, 0, mixed))
 
 
+def test_invalid_types_are_not_realizable_and_not_judged_minimal():
+    # c0 - c1 + c2 is 2 - 2g only for g = 1 here; q has the length for g = 1
+    k = line_type(1, 2, 1, q=(0, 0))
+    assert is_realizable(Surface(True, 1), k)
+    for s in (Surface(True, 2), Surface(True, 0)):
+        assert not is_realizable(s, k)
+        with pytest.raises(ValueError, match="^q must have length"):
+            is_minimal(s, k)
+
+
 def test_is_minimal_circle_cases():
     g2 = Surface(True, 2)
     assert is_minimal(g2, CriticalType(Target.CIRCLE, (1, 0, 0, 0), 0, 2, 0))

@@ -568,6 +568,8 @@ ERROR_CONTRACT = {
         ["canonical", "--surface", "orientable:g=1", "--genus", "1", "--c0", "1", "--c2", "1"],
         {}, "format: --surface replaces --genus/--nonorientable/--boundary",
     ),
+    "canonical-no-surface": (["canonical", "--c0", "1", "--c2", "1"], {},
+                             "format: one of --surface or --genus is required"),
     "canonical-q": (["canonical", "--genus", "1", "--q", "1,x", "--c0", "1", "--c2", "1"], {},
                     "format: bad integer vector '1,x'"),
     "canonical-q-length": (
@@ -699,6 +701,49 @@ def test_internal_error_is_logged(monkeypatch, capsys, caplog):
     assert json.loads(err) == {"error": "internal: KeyError: 'lost'"}
     (record,) = [r for r in caplog.records if r.name == "morse_topo"]
     assert record.exc_info[0] is KeyError
+
+
+def _assert_internal_error(argv, message, capsys):
+    from morse_topo import cli
+
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"internal: AssertionError: {message}"}
+
+
+# the input below was accepted, so a result that fails the package's own
+# check is a fault of the package: exit 3, not a domain error
+
+
+def test_sweep_that_loses_an_arc_is_internal_error(tmp_path, monkeypatch, capsys):
+    from morse_topo import mesh
+
+    sweep = mesh._sweep
+
+    def lose_last_arc(m):
+        vertices, arcs = sweep(m)
+        return vertices, arcs[:-1]
+
+    monkeypatch.setattr(mesh, "_sweep", lose_last_arc)
+    path = tmp_path / "torus.hmesh"
+    path.write_text(format_hmesh(meshes.corpus()["torus"]))
+    _assert_internal_error(
+        ["reeb", str(path)],
+        "sweep produced an inconsistent graph: vertex 2 (Saddle3) has degree 2, expected 3",
+        capsys,
+    )
+
+
+def test_uncleared_first_pair_is_internal_error(tmp_path, monkeypatch, capsys):
+    from morse_topo.symplectic import _Eliminator
+
+    monkeypatch.setattr(_Eliminator, "fix_first_beta", lambda self: None)
+    path = tmp_path / "h.sp"
+    path.write_text(format_matrix(evaluate((gen("Ta", 1), gen("Mu", 1, 2)), 2)))
+    _assert_internal_error(
+        ["sp-decompose", str(path)], "residual matrix is not block-diagonal", capsys
+    )
 
 
 def _in_process(argv, capsys):

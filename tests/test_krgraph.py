@@ -260,6 +260,13 @@ def test_critical_type_of_star_needs_nonorientable():
         critical_type_of(g, Surface(True, 1), (0, 0))
 
 
+def test_critical_type_of_checks_the_length_of_q():
+    g = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
+    assert critical_type_of(g, Surface(True, 1), (0, 0)).q == (0, 0)
+    with pytest.raises(ValueError, match=r"^q must have length 2, got 3$"):
+        critical_type_of(g, Surface(True, 1), (0, 0, 0))
+
+
 def test_fiber_components_line():
     g = theta_graph()
     assert regular_fiber_components(g, F(1, 2)) == 1

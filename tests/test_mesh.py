@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import meshes
 from morse_topo.krgraph import (
+    KREdge,
+    KRGraph,
     VertexKind,
     critical_type_of,
     kr_isomorphic,
@@ -29,7 +31,13 @@ from morse_topo.mesh import (
     parse_hmesh,
     surface_of,
 )
-from morse_topo.surface import critical_type_to_json, euler_characteristic, validate_critical_type
+from morse_topo.surface import (
+    Target,
+    critical_type_to_json,
+    euler_characteristic,
+    flip_target_orientation,
+    validate_critical_type,
+)
 
 
 def test_corpus_extracts_with_expected_types():
@@ -217,6 +225,17 @@ def test_open_circle_count_catches_a_lost_split(monkeypatch, name):
         extract_kr_graph(m)
 
 
+@pytest.mark.parametrize("name", ["torus", "genus2", "torus_hole"])
+def test_degree_two_saddle_on_an_orientable_mesh_is_a_fault(monkeypatch, name):
+    # a split walk that never closes makes every splitting saddle a
+    # degree-two one: a valid graph with the right counts, but not on an
+    # orientable surface, which the type read refuses
+    monkeypatch.setattr("morse_topo.mesh._split_circle", lambda *args: None)
+    message = "sweep produced an inconsistent graph: degree-two saddles require a non-orientable surface"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        extract_kr_graph(meshes.corpus()[name])
+
+
 def test_refinement_keeps_type_and_graph():
     # the refined height is the same piecewise-linear map, so the same
     # Reeb graph at the same heights
@@ -233,6 +252,44 @@ def test_refinement_keeps_type_and_graph():
         assert fine_ktype == ktype, name
         assert kr_isomorphic(fine_graph, graph), name
         assert heights(fine_graph) == heights(graph), name
+
+
+def mapped_graph(graph, height_map, decreasing=False):
+    """``graph`` with every height sent through ``height_map``.  Under a
+    decreasing map minima and maxima trade places and every edge turns
+    round; boundary circles and saddles keep their kinds."""
+    swap = {VertexKind.MIN: VertexKind.MAX, VertexKind.MAX: VertexKind.MIN} if decreasing else {}
+    vertices = [
+        v._replace(kind=swap.get(v.kind, v.kind), height=height_map(v.height))
+        for v in graph.vertices.values()
+    ]
+    edges = [KREdge(e.id, e.head, e.tail) if decreasing else e for e in graph.edges]
+    return KRGraph(Target.LINE, vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "height_map, decreasing",
+    [
+        (lambda h: -h, True),
+        (lambda h: F(3, 7) * h - F(5, 2), False),
+        (lambda h: 1000 * h + 1, False),
+    ],
+    ids=["negated", "fraction-affine", "integer-affine"],
+)
+def test_height_maps_act_on_type_and_graph(height_map, decreasing):
+    # h -> a h + b has the level sets of h: for a > 0 the type and the
+    # graph are kept, and for a < 0 the target orientation is reversed
+    def heights(g):
+        return sorted(v.height for v in g.vertices.values())
+
+    for name, m in meshes.corpus().items():
+        graph, ktype = extract_kr_graph(m)
+        moved = m._replace(heights=tuple(map(height_map, m.heights)))
+        moved_graph, moved_ktype = extract_kr_graph(moved)
+        assert moved_ktype == (flip_target_orientation(ktype) if decreasing else ktype), name
+        expected = mapped_graph(graph, height_map, decreasing)
+        assert kr_isomorphic(moved_graph, expected), name
+        assert heights(moved_graph) == heights(expected), name
 
 
 @pytest.mark.parametrize("n, f", [(48, 6), (64, 8)])

@@ -250,6 +250,43 @@ def test_every_definition_is_used():
     assert dead == []
 
 
+def _members(tree):
+    """(class, name) of each method and class attribute, dunders aside, of
+    every class in the tree, nested ones too."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield node.name, name
+
+
+def _test_trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))]
+
+
+def test_every_class_member_is_used():
+    # a method or class attribute of a package class counts as used when
+    # the package or a test loads it or reads it as an attribute
+    modules = list(_modules())
+    used = _used([tree for _, tree in modules] + _test_trees())
+    dead = [
+        f"{module}.{cls}.{name}"
+        for module, tree in modules
+        for cls, name in _members(tree)
+        if name not in used
+    ]
+    assert dead == []
+
+
 def test_every_export_is_tested():
     # a name the package re-exports counts as tested when some test module
     # loads it, reads it as an attribute or imports it
@@ -260,5 +297,4 @@ def test_every_export_is_tested():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    tests = (ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py"))
-    assert sorted(exports - _used(tests)) == []
+    assert sorted(exports - _used(_test_trees())) == []

@@ -49,6 +49,12 @@ def test_surface_boundary_must_not_be_a_string():
     assert Surface(True, 0, ("hole",)).num_boundary == 1
 
 
+@pytest.mark.parametrize("label", ["", 7, None], ids=repr)
+def test_surface_boundary_labels_must_be_non_empty_strings(label):
+    with pytest.raises(ValueError, match="^boundary labels must be non-empty strings$"):
+        Surface(True, 0, (label,))
+
+
 @given(
     orientable=st.booleans(),
     genus=st.integers(0, 5),
