@@ -58,7 +58,9 @@ def canonical_kr_graph(
     ``c1`` is derived from the Euler characteristic.  ``q`` defaults to the
     zero vector for line targets; for circle targets it must be given and
     primitive (the map must be surjective on first homology for the
-    single-fiber cut to exist).
+    single-fiber cut to exist).  A request the surface cannot realise
+    raises ``ValueError``; a built graph that fails its checks is a fault
+    of this module and raises ``AssertionError``.
     """
     if q is None:
         if target is Target.CIRCLE:
@@ -80,8 +82,18 @@ def canonical_kr_graph(
             KRVertex(vid, kind, vid + 1, label) for vid, (kind, label) in enumerate(b.vertices)
         ]
         edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(b.ends)]
-        return KRGraph(Target.LINE, vertices, edges)
+        return _graph(Target.LINE, vertices, edges)
     return _circle_canonical(s, eps, c0, c2, k.q)
+
+
+def _graph(target: Target, vertices, edges) -> KRGraph:
+    """The graph of a normal form built here.  The request was checked, so
+    a graph that fails its checks is a fault of the builder and raises
+    ``AssertionError``."""
+    try:
+        return KRGraph(target, vertices, edges)
+    except ValueError as exc:
+        raise AssertionError(f"normal form is an inconsistent graph: {exc}") from None
 
 
 class _Builder:
@@ -197,7 +209,7 @@ def _circle_canonical(
     b = _line_canonical(cut, cut_eps, c0, c2)
     if len(b.ends) == 1:
         # nothing between the seams: the critical-point-free fibration
-        return KRGraph(Target.CIRCLE, [], [KREdge(0, None, None, (0, 1))])
+        return _graph(Target.CIRCLE, [], [KREdge(0, None, None, (0, 1))])
 
     # the seams are the first and last vertex, on the first and last edge;
     # vertex vid goes from height vid + 1 of n + 1 levels to (vid + 1)/(n + 1)
@@ -215,4 +227,4 @@ def _circle_canonical(
     tail = b.ends[-1][0]
     head = b.ends[0][1]
     edges.append(KREdge(len(edges), tail, head, (lift[tail], lift[head] + 1)))
-    return KRGraph(Target.CIRCLE, vertices, edges)
+    return _graph(Target.CIRCLE, vertices, edges)

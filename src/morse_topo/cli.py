@@ -16,9 +16,12 @@ ASCII decimal integer.  A standard output closed early (a pipe into
 ``head``) exits 1 with no error line.  All output is deterministic.
 
 ``main`` may be called many times in one process, and each call behaves
-like a fresh process.  The argparse tree is built once per process, and
-``main`` finds the subcommand's ``cmd_<name>`` function by name at call
-time, so a replaced module attribute is the one that runs.
+like a fresh process.  The argparse tree is built once per process.
+Start-up loads only ``surface`` of the package: each ``cmd_<name>``
+imports the modules it calls when it runs.  ``main`` finds the
+subcommand's ``cmd_<name>`` function by name at call time, and that
+function reads what it calls as module attributes at call time too, so a
+module attribute replaced in a test is still the one that runs.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import json
 import os
 import sys
 
-from . import canonical, classify, krgraph, mcg, mesh, surface, symplectic
+from . import surface
 from .surface import FormatError, Surface, Target, _decimal_int, _json_line
 
 
@@ -127,16 +130,22 @@ def _target(args) -> Target:
 
 
 def _write_graph(graph, ktype):
+    from . import krgraph
+
     sys.stdout.write(krgraph.to_dot(graph))
     sys.stdout.write("#KTYPE " + surface.critical_type_to_json(ktype) + "\n")
 
 
 def cmd_reeb(args) -> int:
+    from . import mesh
+
     _write_graph(*mesh.extract_kr_graph(mesh.parse_hmesh(_read_file(args.mesh))))
     return 0
 
 
 def cmd_classify(args) -> int:
+    from . import classify
+
     types = [
         surface.critical_type_from_json(_read_file(path))
         for path in (args.first, args.second)
@@ -152,6 +161,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_canonical(args) -> int:
+    from . import canonical, krgraph
+
     s, eps = _parse_surface(args)
     q = _parse_vector(args.q) if args.q is not None else None
     graph = canonical.canonical_kr_graph(s, eps, args.c0, args.c2, q, _target(args))
@@ -163,6 +174,8 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_sp_decompose(args) -> int:
+    from . import symplectic
+
     h = symplectic.parse_matrix(_read_file(args.matrix))
     if args.g is not None and args.g != h.g:
         raise ValueError(f"matrix file declares g={h.g}, flag says g={args.g}")
@@ -171,12 +184,16 @@ def cmd_sp_decompose(args) -> int:
 
 
 def cmd_admissible(args) -> int:
+    from . import mcg
+
     degree = mcg.degree_along(_parse_vector(args.q), _parse_vector(args.gamma))
     print(_json_line({"admissible": degree == 0, "degree": degree}))
     return 0
 
 
 def cmd_factor(args) -> int:
+    from . import mcg, symplectic
+
     q = _parse_vector(args.q)
     h = symplectic.parse_matrix(_read_file(args.matrix))
     word, change = mcg.factor_stabilizer(h, q)
@@ -200,28 +217,40 @@ def _sparse_vector_json(n: int, entries) -> str:
     return "[" + "".join(parts)[:-1] + "]"
 
 
-# the fixed text of a catalogue line before its name, per kind, and after
-# its class, per verdict; strings are escaped by the C escaper that
-# ``_json_line`` uses, so a line is the bytes ``_json_line`` would write
+# strings are escaped by the C escaper that ``_json_line`` uses, so a
+# catalogue line is the bytes ``_json_line`` would write
 _json_string = json.encoder.encode_basestring_ascii
-_LINE_HEAD = {k: f'{{"kind":{_json_string(k.value)},"name":' for k in mcg.GeneratorKind}
-_LINE_TAIL = {a: f',"admissible":{_json_string(a.value)}}}\n' for a in mcg.Admissible}
 
 
-def _generator_line(g: mcg.MCGGenerator) -> str:
-    """One catalogue line: the generator's fields as one JSON object."""
-    curve = "null" if g.curve is None else _json_string(g.curve)
-    cls = "null" if g.sparse_class is None else _sparse_vector_json(*g.sparse_class)
-    return (
-        f'{_LINE_HEAD[g.kind]}{_json_string(g.name)},"curve":{curve},'
-        f'"curve_class":{cls}{_LINE_TAIL[g.admissible]}'
-    )
+@functools.cache
+def _line_ends():
+    """The fixed text of a catalogue line before its name, per kind, and
+    after its class, per verdict; built on the first ``generators`` call."""
+    from . import mcg
+
+    head = {k: f'{{"kind":{_json_string(k.value)},"name":' for k in mcg.GeneratorKind}
+    tail = {a: f',"admissible":{_json_string(a.value)}}}\n' for a in mcg.Admissible}
+    return head, tail
+
+
+def _generator_lines(generators):
+    """The catalogue's lines, each generator's fields as one JSON object."""
+    head, tail = _line_ends()
+    for g in generators:
+        curve = "null" if g.curve is None else _json_string(g.curve)
+        cls = "null" if g.sparse_class is None else _sparse_vector_json(*g.sparse_class)
+        yield (
+            f'{head[g.kind]}{_json_string(g.name)},"curve":{curve},'
+            f'"curve_class":{cls}{tail[g.admissible]}'
+        )
 
 
 def cmd_generators(args) -> int:
+    from . import mcg
+
     s, eps = _parse_surface(args)
     sys.stdout.writelines(
-        map(_generator_line, mcg.canonical_generator_set(s, eps, _target(args)))
+        _generator_lines(mcg.canonical_generator_set(s, eps, _target(args)))
     )
     return 0
 

@@ -327,8 +327,8 @@ class CutPiece(NamedTuple):
     piece leaves it going up, and one labelled ``SEAM_UPPER`` at the upper
     copy.  A side with more than one seam numbers them ``:0``, ``:1``, ...
     Seam ids follow the largest vertex id, in edge order, lower end first.
-    The graph is validated once, when the piece is built, so a boundary
-    label of the cut graph that equals a seam label is refused there.
+    A boundary label of the cut graph that equals a seam label of its
+    piece is refused.
     """
 
     graph: KRGraph
@@ -353,6 +353,9 @@ def cut_at_level(graph: KRGraph, c) -> tuple[CutPiece, ...]:
     one, which stays last in the loop's list.  Every piece has a seam: the
     graph is connected, so a piece without one would hold every edge,
     including the ones the level crosses.
+
+    The graph was accepted, so a piece that fails the graph checks is a
+    fault of the cut and raises ``AssertionError``.
     """
     if graph.target is not Target.CIRCLE:
         raise ValueError("cutting is defined for Circle-target graphs")
@@ -407,10 +410,16 @@ def cut_at_level(graph: KRGraph, c) -> tuple[CutPiece, ...]:
             vertices.append(KRVertex(vid, v.kind, lift, v.boundary_label))
         # the seam labels of each side, numbered when it has more than one
         sides = [sum(s[i] is None for s in members) for i in (0, 1)]
-        labels = [
-            iter([base] if n == 1 else [f"{base}:{i}" for i in range(n)])
+        seams = [
+            [base] if n == 1 else [f"{base}:{i}" for i in range(n)]
             for base, n in zip((SEAM_LOWER, SEAM_UPPER), sides)
         ]
+        taken = {v.boundary_label for v in vertices} & {*seams[0], *seams[1]}
+        if taken:
+            raise ValueError(
+                f"boundary labels must be distinct: {min(taken)!r} is a seam of the cut"
+            )
+        labels = [iter(side) for side in seams]
         next_id = max(vids, default=-1) + 1
         edges = []
         for lower, upper, lo, hi in members:
@@ -426,7 +435,11 @@ def cut_at_level(graph: KRGraph, c) -> tuple[CutPiece, ...]:
             cls = PieceClass.Q01
         else:
             cls = PieceClass.Q0 if sides[0] else PieceClass.Q1
-        pieces.append(CutPiece(KRGraph(Target.LINE, vertices, edges), cls))
+        try:
+            piece = KRGraph(Target.LINE, vertices, edges)
+        except ValueError as exc:
+            raise AssertionError(f"cut produced an inconsistent piece: {exc}") from None
+        pieces.append(CutPiece(piece, cls))
     # pieces share no vertex; the vertexless pieces of a free loop, whose
     # seams all start at id 0, keep their stretch order
     pieces.sort(key=lambda p: min(p.graph.vertices))

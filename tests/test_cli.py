@@ -368,7 +368,7 @@ def test_generator_line_escapes_as_the_encoder(kind, name, admissible, curve):
         "curve_class": g.curve_class and list(g.curve_class),
         "admissible": admissible.value,
     }
-    assert cli._generator_line(g) == cli._json_line(expected) + "\n"
+    assert list(cli._generator_lines([g])) == [cli._json_line(expected) + "\n"]
 
 
 def test_generators_never_builds_a_dense_class(capsys, monkeypatch):
@@ -735,6 +735,24 @@ def test_sweep_that_loses_an_arc_is_internal_error(tmp_path, monkeypatch, capsys
     )
 
 
+def test_normal_form_that_loses_an_edge_is_internal_error(monkeypatch, capsys):
+    from morse_topo import canonical
+
+    line_canonical = canonical._line_canonical
+
+    def drop_last_edge(*args):
+        b = line_canonical(*args)
+        b.ends.pop()
+        return b
+
+    monkeypatch.setattr(canonical, "_line_canonical", drop_last_edge)
+    _assert_internal_error(
+        ["canonical", "--genus", "1", "--c0", "1", "--c2", "1"],
+        "normal form is an inconsistent graph: vertex 2 (Saddle3) has degree 2, expected 3",
+        capsys,
+    )
+
+
 def test_uncleared_first_pair_is_internal_error(tmp_path, monkeypatch, capsys):
     from morse_topo.symplectic import _Eliminator
 
@@ -804,6 +822,14 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert counts == [counts[0]] * 20
 
 
+# the package modules start-up loads
+START_UP_MODULES = {"morse_topo", "morse_topo.cli", "morse_topo.surface"}
+
+
+def _package_modules(loaded):
+    return {m for m in loaded if m == "morse_topo" or m.startswith("morse_topo.")}
+
+
 def test_start_up_loads_no_dataclasses_or_logging():
     # the modules every CLI call would pay for at start-up without using
     code = (
@@ -815,8 +841,42 @@ def test_start_up_loads_no_dataclasses_or_logging():
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded = set(ast.literal_eval(r.stdout))
-    assert "morse_topo.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "logging", "traceback"} == set()
+    assert _package_modules(loaded) == START_UP_MODULES
+    assert loaded & {"dataclasses", "fractions", "inspect", "logging", "traceback"} == set()
+
+
+# per subcommand: a small valid call, with the input files it reads, and
+# the package modules it loads beyond start-up's
+SUBCOMMAND_MODULES = {
+    "reeb": (["reeb", "{d}/sphere.hmesh"], {"mesh", "krgraph"}),
+    "classify": (["classify", "{d}/a.ktype", "{d}/a.ktype"], {"classify"}),
+    "canonical": (["canonical", "--genus", "1", "--c0", "1", "--c2", "1"], {"canonical", "krgraph"}),
+    "sp-decompose": (["sp-decompose", "{d}/h.sp"], {"symplectic"}),
+    "admissible": (["admissible", "--q", "0,1", "--gamma", "1,0"], {"mcg", "symplectic"}),
+    "factor": (["factor", "--q", "0,1", "--matrix", "{d}/h.sp"], {"mcg", "symplectic"}),
+    "generators": (["generators", "--genus", "2"], {"mcg", "symplectic"}),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_its_modules(command, tmp_path):
+    (tmp_path / "sphere.hmesh").write_text(format_hmesh(meshes.tetrahedron()))
+    (tmp_path / "a.ktype").write_text('{"target":"Line","q":[],"c0":1,"c1":0,"c2":1,"eps":{}}')
+    (tmp_path / "h.sp").write_text(format_matrix(evaluate((gen("Ta", 1),), 1)))
+    argv, modules = SUBCOMMAND_MODULES[command]
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    code = (
+        "import sys\n"
+        "from morse_topo import cli\n"
+        f"status = cli.main({argv!r})\n"
+        "print(status, sorted(sys.modules), file=sys.stderr)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    status, _, loaded = r.stderr.partition(" ")
+    assert status == "0", r.stderr
+    assert _package_modules(ast.literal_eval(loaded)) == START_UP_MODULES | {
+        f"morse_topo.{m}" for m in modules
+    }
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -380,6 +380,19 @@ def test_cut_refuses_a_boundary_label_that_a_seam_takes():
         assert labels == sorted([label, SEAM_LOWER, SEAM_UPPER])
 
 
+def test_cut_that_loses_an_edge_is_a_fault(monkeypatch):
+    """The graph was accepted, so a piece that fails its checks is a fault
+    of the cut, not of the input."""
+    from morse_topo import krgraph
+
+    g = canonical_kr_graph(Surface(True, 1), {}, 1, 1, (1, 0), Target.CIRCLE)
+    build = krgraph.KRGraph
+    monkeypatch.setattr(krgraph, "KRGraph", lambda t, vs, es: build(t, vs, es[:-1]))
+    message = "cut produced an inconsistent piece: vertex 3 (Saddle3) has degree 2, expected 3"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        cut_at_level(g, F(1, 1000))
+
+
 def test_kr_isomorphic_respects_structure():
     a, b = theta_graph(), theta_graph()
     assert kr_isomorphic(a, b)

@@ -1,11 +1,15 @@
 """Checks over the whole package: how library inputs become integers,
 which statements the source may use, and that every definition is used."""
 import ast
+import importlib
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import morse_topo
 from morse_topo.canonical import canonical_kr_graph
 from morse_topo.krgraph import critical_type_of, cut_at_level
 from morse_topo.mcg import (
@@ -227,7 +231,8 @@ def _used(trees):
 
 def test_every_definition_is_used():
     # a name counts as used when the package loads it, reads it as an
-    # attribute or imports it; ``cli.main`` finds ``cmd_*`` by name
+    # attribute, imports it or exports it from its own module; ``cli.main``
+    # finds ``cmd_*`` by name
     modules = list(_modules())
     used = _used(tree for _, tree in modules)
     dead = [
@@ -235,15 +240,14 @@ def test_every_definition_is_used():
         for module, tree in modules
         for name in _definitions(tree)
         if name not in used
+        and name not in morse_topo._EXPORTS.get(module, ())
         and not (name.startswith("__") and name.endswith("__"))
         and not (module == "cli" and name.startswith("cmd_"))
     ]
-    # a module-level import is used when its own module loads the name;
-    # ``__init__`` imports to re-export
+    # a module-level import is used when its own module loads the name
     dead += [
         f"{module}.{name} (import)"
         for module, tree in modules
-        if module != "__init__"
         for name in _imports(tree)
         if name not in _loaded(tree)
     ]
@@ -288,13 +292,125 @@ def test_every_class_member_is_used():
 
 
 def test_every_export_is_tested():
-    # a name the package re-exports counts as tested when some test module
+    # a name the package exports counts as tested when some test module
     # loads it, reads it as an attribute or imports it
-    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
-    exports = {
-        alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    exports = set(morse_topo.__all__)
+    assert len(exports) == 61
     assert sorted(exports - _used(_test_trees())) == []
+
+
+# the package's exported names by defining module, in the order of ``__all__``
+PUBLIC_API = {
+    "surface": (
+        "CriticalType",
+        "FormatError",
+        "Surface",
+        "Target",
+        "critical_type_from_json",
+        "critical_type_to_json",
+        "euler_characteristic",
+        "flip_target_orientation",
+        "validate_critical_type",
+    ),
+    "krgraph": (
+        "KREdge",
+        "KRGraph",
+        "KRVertex",
+        "PieceClass",
+        "VertexKind",
+        "critical_type_of",
+        "cut_at_level",
+        "kr_isomorphic",
+        "regular_fiber_components",
+        "to_dot",
+    ),
+    "mesh": (
+        "HeightMesh",
+        "MeshFormatError",
+        "NotGenericError",
+        "NotMorseError",
+        "extract_kr_graph",
+        "format_hmesh",
+        "parse_hmesh",
+        "surface_of",
+    ),
+    "classify": (
+        "equivalence_reason",
+        "equivalent_up_to_flip",
+        "glued_type",
+        "is_minimal",
+        "is_realizable",
+        "minimal_fiber_count",
+        "sigma_homotopy_equivalent",
+    ),
+    "canonical": ("InfeasibleTypeError", "canonical_kr_graph"),
+    "symplectic": (
+        "GenPower",
+        "SpMatrix",
+        "evaluate",
+        "format_matrix",
+        "format_word",
+        "gen",
+        "general_sp_factor",
+        "named_generator",
+        "omega_matrix",
+        "omega_product",
+        "parse_matrix",
+        "parse_word",
+        "stabilizer_decompose",
+        "symplectic_completion",
+        "transvection",
+        "word_inverse",
+    ),
+    "mcg": (
+        "Admissible",
+        "GeneratorKind",
+        "MCGGenerator",
+        "canonical_generator_set",
+        "degree_along",
+        "factor_stabilizer",
+        "level_set_class",
+        "twist_action",
+        "twist_admissible",
+    ),
+}
+
+
+def test_public_api_resolves_to_its_defining_modules():
+    names = [name for group in PUBLIC_API.values() for name in group]
+    assert len(names) == 61
+    assert morse_topo.__all__ == names
+    listed = set(dir(morse_topo))
+    for module, group in PUBLIC_API.items():
+        defining = importlib.import_module(f"morse_topo.{module}")
+        assert getattr(morse_topo, module) is defining
+        assert module in listed
+        for name in group:
+            obj = getattr(morse_topo, name)
+            assert obj is getattr(defining, name), name
+            assert obj.__module__ == defining.__name__, name
+            assert name in listed, name
+    with pytest.raises(AttributeError, match="module 'morse_topo' has no attribute 'nope'"):
+        morse_topo.nope
+    with pytest.raises(ImportError):
+        from morse_topo import nope  # noqa: F401
+
+
+def test_bare_import_loads_each_module_on_first_access():
+    # a fresh interpreter, where no test has loaded a submodule yet
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('morse_topo'))\n"
+        "import morse_topo\n"
+        "print(loaded())\n"
+        "morse_topo.Surface\n"
+        "print(loaded())\n"
+        f"print([getattr(morse_topo, m).__name__ for m in {list(PUBLIC_API)!r}])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.splitlines() == [
+        "['morse_topo']",
+        "['morse_topo', 'morse_topo.surface']",
+        str([f"morse_topo.{m}" for m in PUBLIC_API]),
+    ]
