@@ -82,8 +82,12 @@ def canonical_kr_graph(
             KRVertex(vid, kind, vid + 1, label) for vid, (kind, label) in enumerate(b.vertices)
         ]
         edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(b.ends)]
-        return _graph(Target.LINE, vertices, edges)
-    return _circle_canonical(s, eps, c0, c2, k.q)
+        graph = _graph(Target.LINE, vertices, edges)
+    else:
+        graph = _circle_canonical(s, eps, c0, c2, k.q)
+    if graph.counts() != (c0, c1, c2) or graph.boundary_signs() != k.eps:
+        raise AssertionError("normal form does not have the requested critical type")
+    return graph
 
 
 def _graph(target: Target, vertices, edges) -> KRGraph:

@@ -28,16 +28,7 @@ def equivalence_reason(k1: CriticalType, k2: CriticalType) -> str:
     Field order: target, q, c0, c1, c2, eps.
     """
     _check_comparable(k1, k2)
-    if k1.target is not k2.target:
-        return "target"
-    if k1.q != k2.q:
-        return "q"
-    for name in ("c0", "c1", "c2"):
-        if getattr(k1, name) != getattr(k2, name):
-            return name
-    if dict(k1.eps) != dict(k2.eps):
-        return "eps"
-    return "ok"
+    return next((name for name, a, b in zip(k1._fields, k1, k2) if a != b), "ok")
 
 
 def sigma_homotopy_equivalent(k1: CriticalType, k2: CriticalType) -> bool:

@@ -19,6 +19,7 @@ from .surface import Surface, Target, _int_vector
 from .symplectic import (
     SpMatrix,
     Word,
+    _turn,
     stabilizer_decompose,
     symplectic_completion,
     transvection,
@@ -35,7 +36,7 @@ def level_set_class(q: Sequence[int], g: int) -> tuple[int, ...]:
     q, (g,) = _int_vector(q), _int_vector((g,), "genus")
     if len(q) != 2 * g:
         raise ValueError("q must have length 2g")
-    return q[g:] + tuple(-x for x in q[:g])
+    return _turn(q)
 
 
 def degree_along(q: Sequence[int], gamma: Sequence[int]) -> int:
@@ -206,51 +207,42 @@ def canonical_generator_set(
             raise ValueError("an essential circle-valued map needs genus >= 1")
 
     out: list[MCGGenerator] = []
+    g = s.genus
     if s.orientable:
         out.append(
             MCGGenerator(
                 GeneratorKind.ORIENTATION_REVERSAL, "O", Admissible.YES
             )
         )
-        if s.genus >= 1:
-            for curve, cls in _configuration_curves(s.genus, b_minus, b_plus):
+        if g >= 1:
+            for curve, cls in _configuration_curves(g, b_minus, b_plus):
                 flag = Admissible.YES
                 if target is Target.CIRCLE and curve == "beta_1":
                     flag = Admissible.NO
                 out.append(_twist(curve, flag, cls))
-        out.extend(
-            _boundary_pair_generators(
-                s.boundary, eps, minimal_has_extrema=minimal_has_extrema
-            )
-        )
-        return out
-
-    # non-orientable, Line target
-    g = s.genus
-    n = s.num_boundary
-    if g >= 2:
-        out.append(
-            MCGGenerator(GeneratorKind.CROSSCAP_SLIDE, "y", Admissible.YES)
-        )
-    if g == 2:
-        out.append(_twist("beta_0", Admissible.YES))
-    elif g >= 3:
-        r = (g - 1) // 2 if g % 2 else (g - 2) // 2
-        for curve, _ in _configuration_curves(r, b_minus, b_plus):
-            out.append(_twist(curve, Admissible.YES))
-        if g % 2 == 0:
-            out.append(_twist("beta_0", Admissible.YES))
-            out.append(_twist("delta_0", Admissible.YES))
-    for k in range(1, n + 1):
-        out.append(
-            MCGGenerator(GeneratorKind.BOUNDARY_SLIDE, f"nu_{k}", Admissible.YES)
-        )
-        if g >= 4 and g % 2 == 0:
+    else:  # non-orientable, so a Line target
+        if g >= 2:
             out.append(
-                MCGGenerator(
-                    GeneratorKind.BOUNDARY_SLIDE, f"omega_{k}", Admissible.YES
-                )
+                MCGGenerator(GeneratorKind.CROSSCAP_SLIDE, "y", Admissible.YES)
             )
+        if g == 2:
+            out.append(_twist("beta_0", Admissible.YES))
+        elif g >= 3:
+            for curve, _ in _configuration_curves((g - 1) // 2, b_minus, b_plus):
+                out.append(_twist(curve, Admissible.YES))
+            if g % 2 == 0:
+                out.append(_twist("beta_0", Admissible.YES))
+                out.append(_twist("delta_0", Admissible.YES))
+        for k in range(1, s.num_boundary + 1):
+            out.append(
+                MCGGenerator(GeneratorKind.BOUNDARY_SLIDE, f"nu_{k}", Admissible.YES)
+            )
+            if g >= 4 and g % 2 == 0:
+                out.append(
+                    MCGGenerator(
+                        GeneratorKind.BOUNDARY_SLIDE, f"omega_{k}", Admissible.YES
+                    )
+                )
     out.extend(
         _boundary_pair_generators(
             s.boundary, eps, minimal_has_extrema=minimal_has_extrema

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .krgraph import KREdge, KRGraph, KRVertex, VertexKind, _exact, critical_type_of
@@ -188,6 +188,7 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
     if len(set(labels)) != len(labels):
         raise ValueError("boundary labels must be distinct")
 
+    flat = None  # the first flat interior edge, reported after the checks below
     for e, on_edge in edge_tris.items():
         if e in boundary_edges:
             if len(on_edge) != 1:
@@ -199,15 +200,13 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
                 f"interior edge {divmod(e, n)} borders {len(on_edge)} triangles "
                 "(surface is not closed there or not a manifold)"
             )
+        elif flat is None and keys[e // n] == keys[e % n]:
+            flat = e
     for e in boundary_edges:
         if e not in edge_tris:
             raise ValueError(f"boundary edge {divmod(e, n)} is not a mesh edge")
-
-    # flat edges are allowed only along a boundary cycle
-    for e in edge_tris:
-        a, b = divmod(e, n)
-        if keys[a] == keys[b] and e not in boundary_edges:
-            raise NotGenericError(f"flat interior edge {(a, b)}")
+    if flat is not None:  # flat edges are allowed only along a boundary cycle
+        raise NotGenericError(f"flat interior edge {divmod(flat, n)}")
 
     # every edge at v borders two triangles, except the two boundary edges
     # of a boundary vertex, so a walk from a triangle at v closes a cycle,
@@ -281,14 +280,18 @@ def _check_mesh(m: HeightMesh) -> tuple[tuple[int, ...], ...]:
 
 
 def surface_of(m: HeightMesh) -> Surface:
-    """Identify the surface type of a mesh from its Euler characteristic."""
+    """Identify the surface type of a mesh from its Euler characteristic.
+
+    A checked mesh is a connected surface whose boundary is exactly its
+    declared cycles and whose orientability was checked, so a genus that
+    is not a whole non-negative number is a fault of this module."""
     chi = m.euler_characteristic()
     b = len(m.boundary_cycles)
     labels = tuple(label for label, _ in m.boundary_cycles)
     if m.orientable:
         g2 = 2 - chi - b
         if g2 % 2 or g2 < 0:
-            raise ValueError("impossible Euler characteristic for the mesh")
+            raise AssertionError("impossible Euler characteristic for the mesh")
         return Surface(True, g2 // 2, labels)
     return Surface(False, 2 - chi - b, labels)
 
@@ -363,14 +366,7 @@ def _saddle_runs(link: list[int], rank: list[int], r: int) -> list[list[int]]:
     """The link of a saddle of rank ``r`` as its four alternating runs
     [upper, lower, upper, lower], in link order."""
     i = next(i for i in range(len(link)) if rank[link[i - 1]] < r < rank[link[i]])
-    link = link[i:] + link[:i]
-    runs = [[link[0]]]
-    for prev, w in zip(link, link[1:]):
-        if (rank[prev] > r) == (rank[w] > r):
-            runs[-1].append(w)
-        else:
-            runs.append([w])
-    return runs
+    return [list(run) for _, run in groupby(link[i:] + link[:i], lambda w: rank[w] > r)]
 
 
 def _split_circle(v: int, runs, rank: list[int], links, n: int):

@@ -81,9 +81,9 @@ class SpMatrix:
     def is_symplectic(self) -> bool:
         """M^T Omega M == Omega: the (alternating) form is 1 on columns
         (i, g+i) and 0 on every other pair j < k.  Each column c is turned
-        once into Omega c = (c_b, -c_a), so that form(x, c) = x . Omega c."""
+        once into Omega c, so that form(x, c) = x . Omega c."""
         g, cols = self.g, list(zip(*self.rows))
-        turned = [c[g:] + tuple(-x for x in c[:g]) for c in cols]
+        turned = list(map(_turn, cols))
         return all(
             sum(map(operator.mul, cols[j], turned[k])) == (k == j + g)
             for j in range(self.n)
@@ -92,26 +92,29 @@ class SpMatrix:
 
     def inverse(self) -> "SpMatrix":
         """Exact inverse of a symplectic matrix [[A, B], [C, D]]:
-        [[D^T, -B^T], [-C^T, A^T]]."""
+        [[D^T, -B^T], [-C^T, A^T]] = -Omega M^T Omega."""
         if not self.is_symplectic():
             raise ValueError("matrix is not symplectic")
-        g, t = self.g, list(zip(*self.rows))  # M^T = [[A^T, C^T], [B^T, D^T]]
+        g, t = self.g, list(zip(*self.rows))
         inv = SpMatrix(
-            [row[g:] + tuple(-x for x in row[:g]) for row in t[g:]]
-            + [tuple(-x for x in row[g:]) + row[:g] for row in t[:g]]
+            [_turn(row) for row in t[g:]]
+            + [tuple(-x for x in _turn(row)) for row in t[:g]]
         )
         if inv * self != SpMatrix.identity(self.g):
             raise AssertionError("computed inverse does not invert the matrix")
         return inv
 
 
+def _turn(v: tuple[int, ...]) -> tuple[int, ...]:
+    """Omega v = (v_b, -v_a) for v = (v_a, v_b), so that form(x, y) =
+    x . Omega y."""
+    g = len(v) // 2
+    return v[g:] + tuple(-x for x in v[:g])
+
+
 def omega_matrix(g: int) -> SpMatrix:
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][g + i] = 1
-        rows[g + i][i] = -1
-    return SpMatrix(rows)
+    # Omega^T = -Omega, so row i of Omega is -Omega e_i = Omega (-e_i)
+    return SpMatrix([_turn(tuple(-x for x in e)) for e in SpMatrix.identity(g).rows])
 
 
 def omega_product(x: Sequence[int], y: Sequence[int]) -> int:
@@ -119,8 +122,7 @@ def omega_product(x: Sequence[int], y: Sequence[int]) -> int:
     x, y = _int_vector(x), _int_vector(y)
     if len(x) != len(y) or len(x) % 2 != 0:
         raise ValueError("vectors must have equal even length")
-    g = len(x) // 2
-    return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
+    return sum(map(operator.mul, x, _turn(y)))
 
 
 def transvection(gamma: Sequence[int]) -> SpMatrix:
@@ -132,9 +134,8 @@ def transvection(gamma: Sequence[int]) -> SpMatrix:
     if len(gamma) % 2 != 0 or not gamma:
         raise ValueError("vector length must be even and positive")
     n = len(gamma)
-    g = n // 2
     # row vector w with form(gamma, x) = w . x
-    w = [-gamma[g + c] for c in range(g)] + [gamma[c] for c in range(g)]
+    w = [-x for x in _turn(gamma)]
     return SpMatrix(
         [
             [(1 if r == c else 0) + gamma[r] * w[c] for c in range(n)]
@@ -253,11 +254,10 @@ def _transpose_power(p: GenPower) -> GenPower:
 
 
 def _normalize(word: Iterable[GenPower]) -> Word:
-    """Merge adjacent powers of the same generator and drop zero exponents."""
+    """Merge adjacent powers of the same generator and drop merged powers
+    that cancel.  No letter of the input has exponent zero."""
     out: list[GenPower] = []
     for p in word:
-        if p.exp == 0:
-            continue
         if out and out[-1][:3] == p[:3]:
             merged = out[-1].exp + p.exp
             out.pop()
@@ -473,6 +473,9 @@ class _Eliminator:
                         new = [x + tv * y for x, y in zip(table[r], table[c])]
                         new[r] += tv * new[c]
                         packed[r] = dst + tv * src
+                    if new[r] < 1:
+                        # a row of a unimodular block is a non-zero integer vector
+                        raise AssertionError("a row's squared norm fell below 1")
                     table[r] = new
                     for row, x in zip(table, new):
                         row[r] = x
@@ -675,13 +678,11 @@ def stabilizer_decompose(h: SpMatrix) -> Word:
 
 
 def _is_forbidden(p: GenPower) -> bool:
-    if p.name == "Tb" and p.i == 1:
-        return True
-    if p.name == "Eta" and 1 in (p.i, p.j):
-        return True
-    if p.name == "Nu" and p.j == 1:
-        return True
-    return False
+    return (
+        (p.name == "Tb" and p.i == 1)
+        or (p.name == "Eta" and 1 in (p.i, p.j))
+        or (p.name == "Nu" and p.j == 1)
+    )
 
 
 def symplectic_completion(v: Sequence[int]) -> SpMatrix:

@@ -28,6 +28,12 @@ def test_equivalence_basics():
     other = line_type(2, 3, 1, q=(0, 0))
     assert not sigma_homotopy_equivalent(k, other)
     assert equivalence_reason(k, other) == "c0"
+    # the first field that differs names the reason, in the order of the fields
+    a = CriticalType(Target.CIRCLE, (1, 0), 0, 2, 0, {"V1": 1})
+    b = CriticalType(Target.LINE, (0, 0), 1, 3, 1, {"V1": -1})
+    for i, name in enumerate(("target", "q", "c0", "c1", "c2", "eps")):
+        assert equivalence_reason(a, CriticalType(*a[:i], *b[i:])) == name
+    assert equivalence_reason(a, CriticalType(*a)) == "ok"
 
 
 def test_equivalence_requires_same_context():

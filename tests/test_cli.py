@@ -479,6 +479,12 @@ ERROR_CONTRACT = {
     ),
     "reeb-boundary-not-edge": (["reeb", "{d}/a.hmesh"], {"a.hmesh": BIPYRAMID},
                                "domain: boundary edge (3, 5) is not a mesh edge"),
+    "reeb-boundary-edge-inside": (
+        ["reeb", "{d}/a.hmesh"],
+        {"a.hmesh": "HMESH orientable\nv 0 0\nv 1 0\nv 2 0\nv 3 3\n"
+                    "t 0 1 2\nt 0 1 3\nt 0 2 3\nt 1 2 3\nb rim 0 1 2\n"},
+        "domain: boundary edge (0, 1) borders 2 triangles",
+    ),
     "classify-io": (["classify", "{d}/a.ktype", "{d}/none.ktype"], {"a.ktype": GOOD_KTYPE},
                     "io: cannot read {d}/none.ktype: No such file or directory"),
     "classify-json": (
@@ -751,6 +757,41 @@ def test_normal_form_that_loses_an_edge_is_internal_error(monkeypatch, capsys):
         "normal form is an inconsistent graph: vertex 2 (Saddle3) has degree 2, expected 3",
         capsys,
     )
+
+
+def test_normal_form_of_another_type_is_internal_error(monkeypatch, capsys):
+    from morse_topo import canonical
+
+    line_canonical = canonical._line_canonical
+    # a valid graph of type (2, 4, 2) on the torus, not the requested (1, 2, 1)
+    monkeypatch.setattr(
+        canonical, "_line_canonical", lambda s, eps, c0, c2: line_canonical(s, eps, c0 + 1, c2 + 1)
+    )
+    _assert_internal_error(
+        ["canonical", "--genus", "1", "--c0", "1", "--c2", "1"],
+        "normal form does not have the requested critical type",
+        capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "letter, forbidden",
+    [("Tb1", True), ("Eta1,2", True), ("Nu2,1", True), ("Ta1", False), ("Mu1,2", False), ("Nu1,2", False)],
+)
+def test_forbidden_stabilizer_letter_is_internal_error(tmp_path, monkeypatch, capsys, letter, forbidden):
+    from morse_topo import symplectic
+
+    normalize = symplectic._normalize
+    monkeypatch.setattr(symplectic, "_normalize", lambda word: normalize(word) + parse_word(letter))
+    path = tmp_path / "h.sp"
+    path.write_text(format_matrix(evaluate((gen("Ta", 1), gen("Mu", 1, 2)), 2)))
+    if forbidden:
+        _assert_internal_error(
+            ["sp-decompose", str(path)], "stabilizer word uses a forbidden generator", capsys
+        )
+    else:
+        code, out, err = _in_process(["sp-decompose", str(path)], capsys)
+        assert (code, out.split()[-1], err) == (0, letter, "")
 
 
 def test_uncleared_first_pair_is_internal_error(tmp_path, monkeypatch, capsys):

@@ -345,6 +345,13 @@ def test_extraction_invariant_under_relabelling():
     assert kr_isomorphic(g1, g2)
 
 
+def test_impossible_euler_characteristic_is_a_fault(monkeypatch):
+    m = meshes.corpus()["torus"]
+    monkeypatch.setattr(HeightMesh, "euler_characteristic", lambda self: 1)
+    with pytest.raises(AssertionError, match="impossible Euler characteristic"):
+        surface_of(m)
+
+
 def test_surface_of_agrees_with_euler_formula():
     for m in meshes.corpus().values():
         s = surface_of(m)

@@ -611,6 +611,23 @@ def test_non_integer_entries_are_rejected(entry):
         symplectic_completion([entry, 1])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpMatrix([[1, 0, 0], [0, 1, 0]]), "matrix must be square of even size"),
+        (lambda: SpMatrix.identity(1).apply((1, 0, 0)), "vector length does not match matrix size"),
+        (lambda: SpMatrix([[2, 0], [0, 2]]).inverse(), "matrix is not symplectic"),
+        (lambda: omega_product((1, 0), (1, 0, 0, 0)), "vectors must have equal even length"),
+        (lambda: transvection(()), "vector length must be even and positive"),
+        (lambda: symplectic_completion((1, 0, 0)), "vector length must be even and positive"),
+    ],
+    ids=["non-square", "apply-length", "inverse", "omega-product", "transvection", "completion"],
+)
+def test_malformed_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_symplectic_completion():
     rng = random.Random(SEED + 4)
     import math
