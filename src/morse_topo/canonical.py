@@ -181,19 +181,25 @@ def _line_canonical(
     return b
 
 
-def _cut_surface(s: Surface) -> Surface:
-    """The surface obtained by cutting along one essential regular fiber.
+def _cut_surface(s: Surface, q: Sequence[int]) -> Surface:
+    """The surface obtained by cutting along one essential regular fiber
+    dual to the primitive homotopy vector ``q``.
 
     ``s`` must have positive homology rank (orientable genus >= 1 or
     non-orientable genus >= 2); a primitive homotopy vector guarantees it.
+    On N_g, ``q`` holds x_1 .. x_{g-1} and x_g = -sum(q); the complement of
+    the fiber is orientable exactly when q is the orientation class mod 2,
+    that is when every x_i is odd, which needs g even.  It is then the
+    orientable surface of genus (g - 2)/2 with the two seams, and otherwise
+    N_{g-2} with them.
     """
     extra = (SEAM_LOWER, SEAM_UPPER)
     if any(l in extra for l in s.boundary):
         raise ValueError(f"boundary labels {extra} are reserved for the seam")
     if s.orientable:
         return Surface(True, s.genus - 1, s.boundary + extra)
-    if s.genus == 2:
-        return Surface(True, 0, s.boundary + extra)
+    if all(x % 2 for x in (*q, sum(q))):
+        return Surface(True, (s.genus - 2) // 2, s.boundary + extra)
     return Surface(False, s.genus - 2, s.boundary + extra)
 
 
@@ -206,7 +212,7 @@ def _circle_canonical(
             "circle-valued normal forms need a primitive homotopy vector "
             f"(gcd {d})"
         )
-    cut = _cut_surface(s)
+    cut = _cut_surface(s, q)
     cut_eps = dict(eps)
     cut_eps[SEAM_LOWER] = -1
     cut_eps[SEAM_UPPER] = 1

@@ -38,16 +38,13 @@ from .surface import FormatError, Surface, Target, _decimal_int, _json_line
 class DomainError(Exception):
     """An error whose message carries its own prefix (``io:``)."""
 
-    def __init__(self, prefix: str, message: str):
-        super().__init__(f"{prefix}: {message}")
-
 
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise DomainError("io", f"cannot read {path}: {exc.strerror}") from None
+        raise DomainError(f"io: cannot read {path}: {exc.strerror}") from None
 
 
 def _parse_ints(parts: list[str], what: str) -> tuple[int, ...]:

@@ -247,17 +247,18 @@ class KRGraph:
             raise ValueError("critical vertices must have pairwise distinct heights")
         if len(set(labels)) != len(labels):
             raise ValueError("boundary labels must be distinct")
-        if vertices:
-            start = next(iter(vertices))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in adjacent[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(vertices):
-                raise ValueError("graph must be connected")
+        if not vertices:
+            raise ValueError("a graph needs a vertex or a free loop")
+        start = next(iter(vertices))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(vertices):
+            raise ValueError("graph must be connected")
 
 
 def critical_type_of(graph: KRGraph, s: Surface, q: Sequence[int]) -> CriticalType:

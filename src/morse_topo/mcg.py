@@ -131,15 +131,15 @@ def _configuration_curves(g: int, b_minus: int, b_plus: int) -> list[tuple[str, 
 
 
 def _boundary_pair_generators(
-    boundary: Sequence[str], eps: Mapping[str, int], *, minimal_has_extrema: bool
+    boundary: Sequence[str], eps: Mapping[str, int]
 ) -> list[MCGGenerator]:
     """Boundary permutations b_ij, split by the signs of the two circles.
 
     Equal signs give the permutation itself; mixed signs only its square,
     a Dehn twist along the curve separating the two circles.  That twist is
     a product of configuration twists (rather than directly a level-set
-    component) exactly when the minimal map has no extrema and no third
-    boundary circle to route through.
+    component) exactly when there is no third boundary circle to route
+    through; with both signs present the minimal map has no extrema.
     """
     out = []
     n = len(boundary)
@@ -155,11 +155,10 @@ def _boundary_pair_generators(
                     )
                 )
             else:
-                direct = minimal_has_extrema or n > 2
                 out.append(
                     _twist(
                         f"sigma_{i + 1},{j + 1}",
-                        Admissible.YES if direct else Admissible.YES_VIA_WORD,
+                        Admissible.YES if n > 2 else Admissible.YES_VIA_WORD,
                     )
                 )
     return out
@@ -181,8 +180,8 @@ def canonical_generator_set(
     carries the reference configuration on its floor((g-1)/2) handles, with
     beta_0/delta_0 twists and a second boundary-slide family (omega_k) when
     the genus is even.  Admissibility flags describe the minimal canonical
-    map for the given signs; that is the representative whose extrema exist
-    exactly when a sign class is empty.
+    map for the given signs; the twist between two circles of opposite
+    signs needs a word in the others exactly when they are the only two.
 
     A genus g with 2g(3g - 1) > sys.maxsize is rejected before anything is
     built: that is the number of class entries the orientable catalogue
@@ -194,8 +193,6 @@ def canonical_generator_set(
         raise ValueError("eps labels do not match surface boundary")
     b_minus = sum(1 for v in eps.values() if v < 0)
     b_plus = len(eps) - b_minus
-    # extrema of the minimal map with these signs: one per empty sign class
-    minimal_has_extrema = b_minus == 0 or b_plus == 0
 
     if target is Target.CIRCLE:
         if not s.orientable:
@@ -243,11 +240,7 @@ def canonical_generator_set(
                         GeneratorKind.BOUNDARY_SLIDE, f"omega_{k}", Admissible.YES
                     )
                 )
-    out.extend(
-        _boundary_pair_generators(
-            s.boundary, eps, minimal_has_extrema=minimal_has_extrema
-        )
-    )
+    out.extend(_boundary_pair_generators(s.boundary, eps))
     return out
 
 

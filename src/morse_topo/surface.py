@@ -91,11 +91,14 @@ class Surface(_Checked, _Surface):
             raise ValueError("a non-orientable surface has genus >= 1")
         if isinstance(boundary, str):
             raise ValueError("boundary must be a sequence of labels, not a string")
-        labels = tuple(boundary)
-        if len(set(labels)) != len(labels):
-            raise ValueError("boundary labels must be distinct")
+        try:
+            labels = tuple(boundary)
+        except TypeError:
+            raise ValueError("boundary must be a sequence of labels") from None
         if any(not isinstance(l, str) or not l for l in labels):
             raise ValueError("boundary labels must be non-empty strings")
+        if len(set(labels)) != len(labels):
+            raise ValueError("boundary labels must be distinct")
         return tuple.__new__(cls, (orientable, genus, labels))
 
     @property
@@ -142,9 +145,11 @@ class CriticalType(_Checked, _CriticalType):
     (all zero for LINE targets), ``c0``/``c1``/``c2`` count critical points
     by index, and ``eps`` maps each boundary label to +1 or -1.  On
     orientable surfaces the coordinates of ``q`` refer to the basis dual to
-    the standard symplectic curve classes; on non-orientable surfaces they
-    refer to whatever basis of the capped surface's first cohomology the
-    caller fixed.  Instances are immutable tuple records ``(target, q, c0,
+    the standard symplectic curve classes.  On the non-orientable surface
+    N_g, whose capped first homology is spanned by one-sided curves
+    a_1 .. a_g with 2(a_1 + ... + a_g) = 0, a class x takes values x_i on
+    a_i with x_1 + ... + x_g = 0; ``q`` holds x_1 .. x_{g-1}, and
+    x_g = -sum(q).  Instances are immutable tuple records ``(target, q, c0,
     c1, c2, eps)`` that compare equal to the plain tuple of their fields;
     construction, ``_make`` and ``_replace`` all check the integers and
     copy ``eps`` into a new dict, which callers treat as immutable.

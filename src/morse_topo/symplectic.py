@@ -404,11 +404,12 @@ class _Eliminator:
         A t^2 + 2 B t + const with A = sum G[c][c] and B = sum v G[r][c].
         ``_sweep_moves(g)`` holds the table positions of each move's one or
         two entries, and A and B take two reads each; a move with one entry
-        reads the zero row as its second.  The nearest integer t to -B/A
-        (t = 0 exactly when -A < 2B <= A) is applied only when it strictly
-        lowers the norm, so the sweep over all named generators terminates;
-        it is repeated until a pass changes nothing.  Its letter goes into
-        ``ops`` inverted, with exponent -t.
+        reads the zero row as its second.  A move with -A <= 2B <= A is
+        skipped; any other takes the integer t nearest x = -B/A, which
+        changes the norm by A((t - x)^2 - x^2) < 0 as |t - x| <= 1/2 < |x|.
+        So the sweep over all named generators terminates; it is repeated
+        until a pass changes nothing.  Its letter goes into ``ops``
+        inverted, with exponent -t.
 
         Each entry of an applied move, with tv = t*v, adds tv times Gram
         row c to Gram row r, adds tv times the new row's entry c to its
@@ -418,10 +419,10 @@ class _Eliminator:
         digits: the squared norm F of the block at the start bounds every
         entry by isqrt(F) for the whole sweep, since no applied move raises
         it, so with M = 2 isqrt(F) + 3 packing is linear and block row r
-        gains tv times block row c in one integer operation.  A row is
-        packed when a move first reads or writes it, and only the rows
-        written are unpacked at the end, each checked against its Gram
-        diagonal.  Returns whether any move was applied.
+        gains tv times block row c in one integer operation.  Every row is
+        packed when the sweep starts, and only the rows written are
+        unpacked at the end, each checked against its Gram diagonal.
+        Returns whether any move was applied.
         """
         rows = self.rows
         norm = sum(x * x for row in rows for x in row)
@@ -438,7 +439,7 @@ class _Eliminator:
         # one-entry moves read G[n][n]; ``zip(table, new)`` stops before it
         table.append([0] * (n + 1))
         base = 2 * math.isqrt(norm) + 3
-        packed: list[int | None] = [None] * n
+        packed = [_pack(row, base) for row in rows]
         written = set()
         ops, off = self.ops, self.offset
         changed = True
@@ -447,19 +448,13 @@ class _Eliminator:
             for c1, r1, s1, c2, r2, s2, (name, i, j), nil in _sweep_moves(self.g):
                 a = table[c1][c1] + table[c2][c2]
                 b2 = s1 * table[r1][c1] + s2 * table[r2][c2]
-                if -a < b2 <= a:
+                if -a <= b2 <= a:
                     continue
                 t = (a - b2) // (2 * a)
-                if t * (a * t + b2) >= 0:
-                    continue
                 ops.append(GenPower(name, i + off, None if j is None else j + off, -t))
                 for r, c, v in nil:
                     tv = t * v
                     src, dst = packed[c], packed[r]
-                    if src is None:
-                        src = packed[c] = _pack(rows[c], base)
-                    if dst is None:
-                        dst = _pack(rows[r], base)
                     # t * v = +-1 for nearly every move: add or subtract rows
                     if tv == 1:
                         new = list(map(operator.add, table[r], table[c]))

@@ -333,7 +333,7 @@ def test_criterion_7_canonical_fixed_point():
             cut_eps = dict(k.eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
-            expected = canonical_kr_graph(_cut_surface(surface), cut_eps, k.c0, k.c2)
+            expected = canonical_kr_graph(_cut_surface(surface, k.q), cut_eps, k.c0, k.c2)
             assert kr_isomorphic(piece.graph, expected)
             checked += 1
             cut_checked += 1

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -154,12 +155,46 @@ def test_circle_cut_recovers_line_form():
             assert len(pieces) == 1
             piece = pieces[0]
             assert piece.piece_class is PieceClass.Q01
-            cut = _cut_surface(s)
+            cut = _cut_surface(s, q)
             cut_eps = dict(eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
             expected = canonical_kr_graph(cut, cut_eps, c0, c2)
             assert kr_isomorphic(piece.graph, expected)
+
+
+@pytest.mark.parametrize("genus", [4, 5, 6])
+@pytest.mark.parametrize("labels", [(), ("V1",)], ids=["closed", "one-circle"])
+def test_non_orientable_cut_follows_the_parity_of_q(genus, labels):
+    # q holds x_1 .. x_{g-1} and x_g = -sum(q); the fiber's complement is
+    # orientable exactly when every x_i is odd
+    s = Surface(False, genus, labels)
+    eps = dict.fromkeys(labels, 1)
+    cut_eps = {**eps, SEAM_LOWER: -1, SEAM_UPPER: 1}
+    c1 = genus - 2 + len(labels)  # c0 = c2 = 0 and chi = 2 - g - b
+    # the cut is a function of the graph, so equal graphs are cut once
+    pieces = {}
+    classes = set()
+    for q in itertools.product(range(-3, 4), repeat=genus - 1):
+        if math.gcd(*q) != 1:
+            continue
+        g = canonical_kr_graph(s, eps, 0, 0, q, Target.CIRCLE)
+        assert critical_type_of(g, s, q) == (Target.CIRCLE, q, 0, c1, 0, eps)
+        some_even = any(x % 2 == 0 for x in (*q, sum(q)))
+        cut = _cut_surface(s, q)
+        assert cut.orientable != some_even
+        key = (tuple(g.vertices.values()), tuple(g.edges), cut)
+        if key not in pieces:
+            (piece,) = cut_at_level(g, F(0))
+            expected = canonical_kr_graph(cut, cut_eps, 0, 0)
+            assert kr_isomorphic(piece.graph, expected)
+            pieces[key] = piece.graph.has_star()
+        assert pieces[key] == some_even
+        classes.add(some_even)
+    # one graph per class: both classes on even genus, only the
+    # non-orientable cut on odd genus
+    assert len(pieces) == len(classes)
+    assert classes == ({True, False} if genus % 2 == 0 else {True})
 
 
 def test_circle_infeasible_surfaces():

@@ -508,6 +508,12 @@ REJECTIONS = {
         lambda: KRGraph(Target.LINE, LABEL_PAIR, [KREdge(0, 0, 1)]),
         "boundary labels must be distinct",
     ),
+    "empty-line": (
+        lambda: KRGraph(Target.LINE, [], []), "a graph needs a vertex or a free loop"
+    ),
+    "empty-circle": (
+        lambda: KRGraph(Target.CIRCLE, [], []), "a graph needs a vertex or a free loop"
+    ),
     "critical-type-labels": (
         lambda: critical_type_of(sphere_graph(), Surface(True, 0, ("a",)), ()),
         "graph boundary labels do not match the surface",

@@ -47,12 +47,18 @@ def test_surface_boundary_must_not_be_a_string():
     with pytest.raises(ValueError, match="not a string"):
         Surface(True, 0, "hole")
     assert Surface(True, 0, ("hole",)).num_boundary == 1
+    for boundary in (5, None):
+        with pytest.raises(ValueError, match="^boundary must be a sequence of labels$"):
+            Surface(True, 1, boundary)
 
 
-@pytest.mark.parametrize("label", ["", 7, None], ids=repr)
+@pytest.mark.parametrize("label", ["", 7, None, ["a"], {}], ids=repr)
 def test_surface_boundary_labels_must_be_non_empty_strings(label):
+    # an unhashable label must not reach the distinctness check
     with pytest.raises(ValueError, match="^boundary labels must be non-empty strings$"):
         Surface(True, 0, (label,))
+    with pytest.raises(ValueError, match="^boundary labels must be non-empty strings$"):
+        Surface(True, 1, [label, label])
 
 
 @given(

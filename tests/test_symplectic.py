@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from morse_topo import symplectic
 from morse_topo.symplectic import (
     GenPower,
     SpMatrix,
@@ -761,3 +762,55 @@ def test_any_word_text_round_trips(w):
 def test_any_integer_matrix_text_round_trips(rows):
     m = SpMatrix(rows)
     assert parse_matrix(format_matrix(m)) == m
+
+
+# -- the package's own result checks, each reached by injecting a fault ------
+
+
+def test_sp_matrix_is_immutable_hashable_and_typed():
+    m = evaluate((gen("Ta", 1), gen("Mu", 1, 2)), 2)
+    with pytest.raises(AttributeError, match="^SpMatrix is immutable$"):
+        m.rows = ()
+    assert hash(m) == hash(SpMatrix(m.rows)) and len({m, SpMatrix(m.rows)}) == 1
+    # a product with anything but a matrix of the same size is not defined
+    for other in (2, SpMatrix.identity(1)):
+        assert m.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            m * other
+
+
+def test_inverse_that_does_not_invert_is_internal(monkeypatch):
+    m = evaluate((gen("Ta", 1),), 1)
+    monkeypatch.setattr(SpMatrix, "__mul__", lambda self, other: self)
+    with pytest.raises(AssertionError, match="does not invert the matrix"):
+        m.inverse()
+
+
+def test_sweep_row_below_norm_one_is_internal():
+    # a singular block, as a fault upstream could hand the sweep: its first
+    # move subtracts one row from the other.  Called directly, since the
+    # factoriser's later stages never end on a singular block
+    with pytest.raises(AssertionError, match="squared norm fell below 1"):
+        _Eliminator([[1, 1], [1, 1]], 0)._sweep()
+
+
+def test_sweep_row_that_unpacks_wrong_is_internal(monkeypatch):
+    monkeypatch.setattr(symplectic, "_unpack", lambda packed, base, n: [0] * n)
+    h = evaluate(parse_word(STALLING_WORD), 8)
+    with pytest.raises(AssertionError, match="does not match its Gram entry"):
+        general_sp_factor(h)
+
+
+def test_factorisation_that_does_not_evaluate_is_internal(monkeypatch):
+    normalize = symplectic._normalize
+    monkeypatch.setattr(
+        symplectic, "_normalize", lambda word: normalize(word) + (gen("Ta", 1),)
+    )
+    with pytest.raises(AssertionError, match="does not evaluate to the input"):
+        general_sp_factor(named_generator("Tb", 1, g=2))
+
+
+def test_completion_with_the_wrong_column_is_internal(monkeypatch):
+    monkeypatch.setattr(_Eliminator, "reduce_first_column", lambda self: None)
+    with pytest.raises(AssertionError, match="requested first column"):
+        symplectic_completion([2, 1, 3, 5])
