@@ -1,5 +1,8 @@
 """Deterministic normal-form graphs realising a requested critical type.
 
+``canonical_kr_graph`` returns ``(graph, type)``, like ``extract_kr_graph``:
+the type is read off the built graph once and must equal the request.
+
 The line-valued normal form is a vertical spine read bottom to top:
 
 * lower leaves: one boundary circle per negative sign (sorted by label,
@@ -30,7 +33,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .krgraph import SEAM_LOWER, SEAM_UPPER, KREdge, KRGraph, KRVertex, VertexKind
+from .krgraph import (
+    SEAM_LOWER, SEAM_UPPER, KREdge, KRGraph, KRVertex, VertexKind, critical_type_of,
+)
 from .surface import (
     CriticalType,
     Surface,
@@ -52,15 +57,16 @@ def canonical_kr_graph(
     c2: int,
     q: Sequence[int] | None = None,
     target: Target = Target.LINE,
-) -> KRGraph:
-    """Build the normal-form graph with the requested critical type.
+) -> tuple[KRGraph, CriticalType]:
+    """Build the normal-form graph with the requested critical type and
+    return ``(graph, type)``, like ``extract_kr_graph``.
 
     ``c1`` is derived from the Euler characteristic.  ``q`` defaults to the
     zero vector for line targets; for circle targets it must be given and
     primitive (the map must be surjective on first homology for the
     single-fiber cut to exist).  A request the surface cannot realise
-    raises ``ValueError``; a built graph that fails its checks is a fault
-    of this module and raises ``AssertionError``.
+    raises ``ValueError``; a built graph that fails its checks or has
+    another type is a fault of this module and raises ``AssertionError``.
     """
     if q is None:
         if target is Target.CIRCLE:
@@ -68,7 +74,7 @@ def canonical_kr_graph(
         q = (0,) * s.homology_rank
     c0, c2 = _int_vector((c0, c2), "critical point counts")
     c1 = c0 + c2 - euler_characteristic(s)
-    k = CriticalType(target, q, c0, max(c1, 0), c2, dict(eps))
+    k = CriticalType(target, q, c0, max(c1, 0), c2, eps)
     problems = validate_critical_type(s, k)
     if c1 < 0:
         raise InfeasibleTypeError(
@@ -77,27 +83,21 @@ def canonical_kr_graph(
     if problems:
         raise ValueError("; ".join(problems))
     if target is Target.LINE:
-        b = _line_canonical(s, eps, c0, c2)
+        b = _line_canonical(s, k.eps, k.c0, k.c2)
         vertices = [
             KRVertex(vid, kind, vid + 1, label) for vid, (kind, label) in enumerate(b.vertices)
         ]
         edges = [KREdge(i, tail, head) for i, (tail, head) in enumerate(b.ends)]
-        graph = _graph(Target.LINE, vertices, edges)
     else:
-        graph = _circle_canonical(s, eps, c0, c2, k.q)
-    if graph.counts() != (c0, c1, c2) or graph.boundary_signs() != k.eps:
-        raise AssertionError("normal form does not have the requested critical type")
-    return graph
-
-
-def _graph(target: Target, vertices, edges) -> KRGraph:
-    """The graph of a normal form built here.  The request was checked, so
-    a graph that fails its checks is a fault of the builder and raises
-    ``AssertionError``."""
+        vertices, edges = _circle_canonical(s, k.eps, k.c0, k.c2, k.q)
     try:
-        return KRGraph(target, vertices, edges)
+        graph = KRGraph(target, vertices, edges)
+        built = critical_type_of(graph, s, k.q)
     except ValueError as exc:
         raise AssertionError(f"normal form is an inconsistent graph: {exc}") from None
+    if built != k:
+        raise AssertionError("normal form does not have the requested critical type")
+    return graph, built
 
 
 class _Builder:
@@ -205,7 +205,8 @@ def _cut_surface(s: Surface, q: Sequence[int]) -> Surface:
 
 def _circle_canonical(
     s: Surface, eps: Mapping[str, int], c0: int, c2: int, q: Sequence[int]
-) -> KRGraph:
+) -> tuple[list[KRVertex], list[KREdge]]:
+    """Vertices and edges of the circle normal form, not yet validated."""
     d = math.gcd(*q)
     if d != 1:
         raise InfeasibleTypeError(
@@ -219,7 +220,7 @@ def _circle_canonical(
     b = _line_canonical(cut, cut_eps, c0, c2)
     if len(b.ends) == 1:
         # nothing between the seams: the critical-point-free fibration
-        return _graph(Target.CIRCLE, [], [KREdge(0, None, None, (0, 1))])
+        return [], [KREdge(0, None, None, (0, 1))]
 
     # the seams are the first and last vertex, on the first and last edge;
     # vertex vid goes from height vid + 1 of n + 1 levels to (vid + 1)/(n + 1)
@@ -237,4 +238,4 @@ def _circle_canonical(
     tail = b.ends[-1][0]
     head = b.ends[0][1]
     edges.append(KREdge(len(edges), tail, head, (lift[tail], lift[head] + 1)))
-    return _graph(Target.CIRCLE, vertices, edges)
+    return vertices, edges

@@ -158,15 +158,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    from . import canonical, krgraph
+    from . import canonical
 
     s, eps = _parse_surface(args)
     q = _parse_vector(args.q) if args.q is not None else None
-    graph = canonical.canonical_kr_graph(s, eps, args.c0, args.c2, q, _target(args))
-    ktype = krgraph.critical_type_of(
-        graph, s, q if q is not None else (0,) * s.homology_rank
-    )
-    _write_graph(graph, ktype)
+    _write_graph(*canonical.canonical_kr_graph(s, eps, args.c0, args.c2, q, _target(args)))
     return 0
 
 

@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .surface import CriticalType, Surface, Target, _Checked, validate_critical_type
+from .surface import CriticalType, Surface, Target, _Checked, _check_target, validate_critical_type
 
 
 # boundary labels of the two sides of a cut; the circle normal form places
@@ -129,7 +129,7 @@ class KRGraph:
         vertices: Iterable[KRVertex],
         edges: Iterable[KREdge],
     ):
-        self.target = target
+        self.target = _check_target(target)
         self.vertices: dict[int, KRVertex] = {}
         for v in vertices:
             vid = v.id
@@ -233,6 +233,8 @@ class KRGraph:
         critical = []
         labels = []
         for vid, kind, height, label in vertices.values():
+            if not isinstance(kind, VertexKind):
+                raise ValueError(f"vertex {vid} kind must be a VertexKind, got {kind!r}")
             d = len(adjacent[vid])
             if d != _DEGREE[kind]:
                 raise ValueError(

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import Mapping, NamedTuple, Sequence
 
-from .surface import Surface, Target, _int_vector
+from .surface import Surface, Target, _check_signs, _check_target, _int_vector
 from .symplectic import (
     SpMatrix,
     Word,
@@ -185,8 +185,11 @@ def canonical_generator_set(
 
     A genus g with 2g(3g - 1) > sys.maxsize is rejected before anything is
     built: that is the number of class entries the orientable catalogue
-    prints, more items than any Python sequence can hold.
+    prints, more items than any Python sequence can hold.  The target and
+    the signs are checked as ``CriticalType`` checks them.
     """
+    _check_target(target)
+    eps = _check_signs(eps)
     if 2 * s.genus * (3 * s.genus - 1) > sys.maxsize:
         raise ValueError(f"genus {s.genus} is too large to list its generators")
     if set(eps) != set(s.boundary):

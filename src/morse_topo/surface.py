@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import operator
-from typing import Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 
 class FormatError(ValueError):
@@ -77,7 +77,8 @@ class Surface(_Checked, _Surface):
     unpacks, and it compares equal to the plain tuple of its fields.
     Construction, ``_make`` and ``_replace`` all check that ``orientable``
     is a bool and the genus an integer, and make the labels a tuple of
-    distinct non-empty strings; a single string is not a list of labels."""
+    distinct non-empty strings; a single string or a set is not a list of
+    labels."""
 
     __slots__ = ()
 
@@ -91,6 +92,9 @@ class Surface(_Checked, _Surface):
             raise ValueError("a non-orientable surface has genus >= 1")
         if isinstance(boundary, str):
             raise ValueError("boundary must be a sequence of labels, not a string")
+        if isinstance(boundary, AbstractSet):
+            # a set's order follows the hash seed, and so would the labels'
+            raise ValueError("boundary must be a sequence of labels, not a set")
         try:
             labels = tuple(boundary)
         except TypeError:
@@ -121,7 +125,16 @@ def euler_characteristic(s: Surface) -> int:
     return 2 - s.genus - s.num_boundary
 
 
+def _check_target(target) -> Target:
+    if not isinstance(target, Target):
+        raise ValueError(f"target must be a Target, got {target!r}")
+    return target
+
+
 def _check_signs(eps: Mapping[str, int]) -> dict[str, int]:
+    """A copy of ``eps``, which must map labels to +1 or -1."""
+    if not isinstance(eps, Mapping):
+        raise ValueError(f"boundary signs must be a mapping, got {type(eps).__name__}")
     signs = dict(zip(eps, _int_vector(eps.values(), "boundary signs")))
     for label, sign in signs.items():
         if sign not in (1, -1):
@@ -159,12 +172,7 @@ class CriticalType(_Checked, _CriticalType):
 
     # the default ``eps`` is only read: ``_check_signs`` copies it
     def __new__(cls, target, q, c0, c1, c2, eps={}):
-        if not isinstance(target, Target):
-            raise ValueError(f"target must be a Target, got {target!r}")
-        if not isinstance(eps, Mapping):
-            raise ValueError(
-                f"boundary signs must be a mapping, got {type(eps).__name__}"
-            )
+        _check_target(target)
         q = _int_vector(q, "q entries")
         c0, c1, c2 = _int_vector((c0, c1, c2), "critical point counts")
         eps = _check_signs(eps)

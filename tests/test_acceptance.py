@@ -24,7 +24,6 @@ from morse_topo.classify import (
 )
 from morse_topo.krgraph import (
     PieceClass,
-    critical_type_of,
     cut_at_level,
     kr_isomorphic,
     regular_fiber_components,
@@ -309,9 +308,9 @@ def test_criterion_7_canonical_fixed_point():
             if k.target is Target.LINE:
                 if not is_realizable(surface, k):
                     continue
-                graph = canonical_kr_graph(surface, k.eps, k.c0, k.c2)
-                assert critical_type_of(graph, surface, k.q) == k
-                again = canonical_kr_graph(surface, k.eps, k.c0, k.c2)
+                graph, built = canonical_kr_graph(surface, k.eps, k.c0, k.c2)
+                assert built == k
+                again, _ = canonical_kr_graph(surface, k.eps, k.c0, k.c2)
                 assert to_dot(graph) == to_dot(again)
                 checked += 1
                 continue
@@ -320,11 +319,11 @@ def test_criterion_7_canonical_fixed_point():
                 d = math.gcd(d, x)
             if d != 1 or not circle_supported(surface):
                 continue
-            graph = canonical_kr_graph(
+            graph, built = canonical_kr_graph(
                 surface, k.eps, k.c0, k.c2, k.q, Target.CIRCLE
             )
-            assert critical_type_of(graph, surface, k.q) == k
-            again = canonical_kr_graph(surface, k.eps, k.c0, k.c2, k.q, Target.CIRCLE)
+            assert built == k
+            again, _ = canonical_kr_graph(surface, k.eps, k.c0, k.c2, k.q, Target.CIRCLE)
             assert to_dot(graph) == to_dot(again)
             pieces = cut_at_level(graph, 0)
             assert len(pieces) == 1
@@ -333,7 +332,7 @@ def test_criterion_7_canonical_fixed_point():
             cut_eps = dict(k.eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
-            expected = canonical_kr_graph(_cut_surface(surface, k.q), cut_eps, k.c0, k.c2)
+            expected, _ = canonical_kr_graph(_cut_surface(surface, k.q), cut_eps, k.c0, k.c2)
             assert kr_isomorphic(piece.graph, expected)
             checked += 1
             cut_checked += 1

@@ -18,7 +18,6 @@ from morse_topo.canonical import (
 from morse_topo.krgraph import (
     PieceClass,
     VertexKind,
-    critical_type_of,
     cut_at_level,
     kr_isomorphic,
     regular_fiber_components,
@@ -40,18 +39,17 @@ def surfaces(max_genus=3, max_boundary=3):
 
 def test_simple_examples():
     s = Surface(True, 0)
-    g = canonical_kr_graph(s, {}, 1, 1)
+    g, _ = canonical_kr_graph(s, {}, 1, 1)
     assert len(g.vertices) == 2 and len(g.edges) == 1
 
     torus = Surface(True, 1)
-    g = canonical_kr_graph(torus, {}, 1, 1)
-    k = critical_type_of(g, torus, (0, 0))
+    g, k = canonical_kr_graph(torus, {}, 1, 1)
     assert (k.c0, k.c1, k.c2) == (1, 2, 1)
     # theta shape: the two saddles share a doubled edge
     pairs = sorted((e.tail, e.head) for e in g.edges)
     assert pairs.count((1, 2)) == 2
 
-    g = canonical_kr_graph(torus, {}, 0, 0, (1, 0), Target.CIRCLE)
+    g, _ = canonical_kr_graph(torus, {}, 0, 0, (1, 0), Target.CIRCLE)
     assert g.is_free_loop()
     lo, hi = g.edges[0].lift
     assert hi - lo == 1
@@ -66,9 +64,7 @@ def test_fixed_point_over_sweep():
                 with pytest.raises(InfeasibleTypeError):
                     canonical_kr_graph(s, eps, c0, c2)
                 continue
-            g = canonical_kr_graph(s, eps, c0, c2)
-            q = (0,) * s.homology_rank
-            k = critical_type_of(g, s, q)
+            g, k = canonical_kr_graph(s, eps, c0, c2)
             assert (k.c0, k.c2) == (c0, c2)
             assert dict(k.eps) == eps
             assert validate_critical_type(s, k) == []
@@ -77,7 +73,7 @@ def test_fixed_point_over_sweep():
 
 def test_star_count_equals_genus_for_nonorientable():
     s = Surface(False, 3, ("V1",))
-    g = canonical_kr_graph(s, {"V1": 1}, 1, 0)
+    g, _ = canonical_kr_graph(s, {"V1": 1}, 1, 0)
     stars = [v for v in g.vertices.values() if v.kind is VertexKind.STAR2]
     assert len(stars) == 3
 
@@ -91,7 +87,7 @@ def test_interior_extrema_minus_saddles_is_chi():
         for c0, c2 in itertools.product(range(3), repeat=2):
             if c0 + b_minus < 1 or c2 + b_plus < 1:
                 continue
-            g = canonical_kr_graph(s, eps, c0, c2)
+            g, _ = canonical_kr_graph(s, eps, c0, c2)
             deg1_interior = sum(
                 1
                 for v in g.vertices.values()
@@ -106,15 +102,15 @@ def test_interior_extrema_minus_saddles_is_chi():
 def test_determinism():
     s = Surface(True, 2, ("V1", "V2"))
     eps = {"V1": 1, "V2": -1}
-    assert to_dot(canonical_kr_graph(s, eps, 2, 1)) == to_dot(
-        canonical_kr_graph(s, eps, 2, 1)
+    assert to_dot(canonical_kr_graph(s, eps, 2, 1)[0]) == to_dot(
+        canonical_kr_graph(s, eps, 2, 1)[0]
     )
 
 
 def test_equal_types_give_isomorphic_graphs():
     s = Surface(True, 1, ("V1",))
-    a = canonical_kr_graph(s, {"V1": 1}, 1, 0)
-    b = canonical_kr_graph(s, {"V1": 1}, 1, 0)
+    a, _ = canonical_kr_graph(s, {"V1": 1}, 1, 0)
+    b, _ = canonical_kr_graph(s, {"V1": 1}, 1, 0)
     assert kr_isomorphic(a, b)
 
 
@@ -149,7 +145,7 @@ def test_circle_cut_recovers_line_form():
     assert cases
     for s, eps, q in cases:
         for c0, c2 in ((0, 0), (1, 1), (2, 0)):
-            g = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
+            g, _ = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
             assert regular_fiber_components(g, F(0)) == 1
             pieces = cut_at_level(g, F(0))
             assert len(pieces) == 1
@@ -159,7 +155,7 @@ def test_circle_cut_recovers_line_form():
             cut_eps = dict(eps)
             cut_eps[SEAM_LOWER] = -1
             cut_eps[SEAM_UPPER] = 1
-            expected = canonical_kr_graph(cut, cut_eps, c0, c2)
+            expected, _ = canonical_kr_graph(cut, cut_eps, c0, c2)
             assert kr_isomorphic(piece.graph, expected)
 
 
@@ -178,15 +174,15 @@ def test_non_orientable_cut_follows_the_parity_of_q(genus, labels):
     for q in itertools.product(range(-3, 4), repeat=genus - 1):
         if math.gcd(*q) != 1:
             continue
-        g = canonical_kr_graph(s, eps, 0, 0, q, Target.CIRCLE)
-        assert critical_type_of(g, s, q) == (Target.CIRCLE, q, 0, c1, 0, eps)
+        g, k = canonical_kr_graph(s, eps, 0, 0, q, Target.CIRCLE)
+        assert k == (Target.CIRCLE, q, 0, c1, 0, eps)
         some_even = any(x % 2 == 0 for x in (*q, sum(q)))
         cut = _cut_surface(s, q)
         assert cut.orientable != some_even
         key = (tuple(g.vertices.values()), tuple(g.edges), cut)
         if key not in pieces:
             (piece,) = cut_at_level(g, F(0))
-            expected = canonical_kr_graph(cut, cut_eps, 0, 0)
+            expected, _ = canonical_kr_graph(cut, cut_eps, 0, 0)
             assert kr_isomorphic(piece.graph, expected)
             pieces[key] = piece.graph.has_star()
         assert pieces[key] == some_even

@@ -773,6 +773,26 @@ def test_normal_form_of_another_type_is_internal_error(monkeypatch, capsys):
     )
 
 
+def test_normal_form_with_stars_on_a_torus_is_internal_error(monkeypatch, capsys):
+    from morse_topo import canonical
+    from morse_topo.surface import Surface
+
+    line_canonical = canonical._line_canonical
+    # each handle built as two degree-two saddles: the counts and signs of
+    # the request, but a graph no orientable surface has
+    monkeypatch.setattr(
+        canonical,
+        "_line_canonical",
+        lambda s, *rest: line_canonical(Surface(False, 2 * s.genus, s.boundary), *rest),
+    )
+    _assert_internal_error(
+        ["canonical", "--genus", "1", "--c0", "1", "--c2", "1"],
+        "normal form is an inconsistent graph: "
+        "degree-two saddles require a non-orientable surface",
+        capsys,
+    )
+
+
 @pytest.mark.parametrize(
     "letter, forbidden",
     [("Tb1", True), ("Eta1,2", True), ("Nu2,1", True), ("Ta1", False), ("Mu1,2", False), ("Nu1,2", False)],

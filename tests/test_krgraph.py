@@ -97,7 +97,7 @@ def test_heights_and_lifts_are_exact():
         assert type(height) is F and height == exact
         assert list(map(type, KREdge(0, 0, 1, (value, 2)).lift)) == [F, int]
     # the graph's checks and its DOT text do not depend on the type
-    as_ints = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
+    as_ints, _ = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
     vs = [KRVertex(v.id, v.kind, F(v.height)) for v in as_ints.vertices.values()]
     as_fractions = KRGraph(Target.LINE, vs, as_ints.edges)
     assert {type(v.height) for v in as_ints.vertices.values()} == {int}
@@ -150,8 +150,8 @@ def test_validation_is_linear_at_genus_400():
     s = Surface(True, 400, labels)
     eps = {label: 1 if i % 2 else -1 for i, label in enumerate(labels)}
     graphs = [
-        canonical_kr_graph(s, eps, 3, 3),
-        canonical_kr_graph(s, eps, 3, 3, (1,) + (0,) * 799, Target.CIRCLE),
+        canonical_kr_graph(s, eps, 3, 3)[0],
+        canonical_kr_graph(s, eps, 3, 3, (1,) + (0,) * 799, Target.CIRCLE)[0],
     ]
     start = time.perf_counter()
     for g in graphs:
@@ -193,10 +193,9 @@ def test_genus_400_forms_make_few_fraction_calls(monkeypatch):
         monkeypatch.setattr(F, name, staticmethod(counted) if name == "__new__" else counted)
     for q, target in (((0,) * 800, Target.LINE), ((1,) + (0,) * 799, Target.CIRCLE)):
         calls = 0
-        g = canonical_kr_graph(s, eps, 3, 3, q, target)
+        g, _ = canonical_kr_graph(s, eps, 3, 3, q, target)
         KRGraph(g.target, g.vertices.values(), g.edges)
         to_dot(g)
-        critical_type_of(g, s, q)
         size = len(g.vertices) + len(g.edges)
         assert size == 1610 + 2009
         assert calls <= (0 if target is Target.LINE else 4 * size), (target, calls)
@@ -261,7 +260,7 @@ def test_critical_type_of_star_needs_nonorientable():
 
 
 def test_critical_type_of_checks_the_length_of_q():
-    g = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
+    g, _ = canonical_kr_graph(Surface(True, 1), {}, 1, 1)
     assert critical_type_of(g, Surface(True, 1), (0, 0)).q == (0, 0)
     with pytest.raises(ValueError, match=r"^q must have length 2, got 3$"):
         critical_type_of(g, Surface(True, 1), (0, 0, 0))
@@ -385,7 +384,7 @@ def test_cut_that_loses_an_edge_is_a_fault(monkeypatch):
     of the cut, not of the input."""
     from morse_topo import krgraph
 
-    g = canonical_kr_graph(Surface(True, 1), {}, 1, 1, (1, 0), Target.CIRCLE)
+    g, _ = canonical_kr_graph(Surface(True, 1), {}, 1, 1, (1, 0), Target.CIRCLE)
     build = krgraph.KRGraph
     monkeypatch.setattr(krgraph, "KRGraph", lambda t, vs, es: build(t, vs, es[:-1]))
     message = "cut produced an inconsistent piece: vertex 3 (Saddle3) has degree 2, expected 3"
@@ -526,6 +525,23 @@ REJECTIONS = {
         lambda: canonical_generator_set(Surface(True, 1, ("a",)), {"b": 1}, Target.LINE),
         "eps labels do not match surface boundary",
     ),
+    # the text "Line" was once read as a circle target, and a kind that is
+    # not a VertexKind failed as a KeyError
+    "target-text": (
+        lambda: KRGraph("Line", LINE_PAIR, [KREdge(0, 0, 1)]),
+        "target must be a Target, got 'Line'",
+    ),
+    "kind-text": (
+        lambda: KRGraph(
+            Target.LINE, [LINE_PAIR[0], KRVertex(1, "Max", F(1))], [KREdge(0, 0, 1)]
+        ),
+        "vertex 1 kind must be a VertexKind, got 'Max'",
+    ),
+    # pairs were once copied with ``dict`` and failed later as a TypeError
+    "canonical-sign-pairs": (
+        lambda: canonical_kr_graph(Surface(True, 0, ("a",)), [("a", 1)], 1, 0),
+        "boundary signs must be a mapping, got list",
+    ),
 }
 
 
@@ -538,7 +554,7 @@ def test_library_rejections(build, message):
 def test_canonical_circle_graphs_cross_every_level():
     from morse_topo.canonical import canonical_kr_graph
 
-    g = canonical_kr_graph(Surface(True, 2), {}, 1, 1, (1, 0, 0, 0), Target.CIRCLE)
+    g, _ = canonical_kr_graph(Surface(True, 2), {}, 1, 1, (1, 0, 0, 0), Target.CIRCLE)
     heights = {v.height for v in g.vertices.values()}
     for denom in (7, 11, 13):
         for num in range(denom):
@@ -569,7 +585,7 @@ def cut_corpus():
                 q = (1,) + (0,) * (s.homology_rank - 1)
                 eps = {l: (-1) ** (genus + i) for i, l in enumerate(labels)}
                 for c0, c2 in ((0, 0), (1, 1), (2, 0)):
-                    g = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
+                    g, _ = canonical_kr_graph(s, eps, c0, c2, q, Target.CIRCLE)
                     yield "orientable" if orientable else "non-orientable", g
                     if g.is_free_loop() or b > 1:
                         continue

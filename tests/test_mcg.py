@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -178,6 +179,30 @@ def test_generators_circle_unsupported_cases():
         canonical_generator_set(Surface(False, 2), {}, Target.CIRCLE)
     with pytest.raises(ValueError):
         canonical_generator_set(Surface(True, 0), {}, Target.CIRCLE)
+
+
+@pytest.mark.parametrize("target", ["Circle", "Line", None], ids=repr)
+def test_generators_need_a_target(target):
+    # the text "Circle" once gave the Line catalogue, with t_beta_1 admissible
+    with pytest.raises(ValueError, match=f"^target must be a Target, got {target!r}$"):
+        canonical_generator_set(Surface(True, 1), {}, target)
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ({"a": 5, "b": 0, "c": -1}, "boundary sign for 'a' must be +1 or -1"),
+        ({"a": True, "b": 1, "c": -1}, "boundary signs must be integers"),
+        ({"a": 1.0, "b": 1, "c": -1}, "boundary signs must be integers"),
+        ([("a", 1), ("b", 1), ("c", -1)], "boundary signs must be a mapping, got list"),
+    ],
+    ids=["five-and-zero", "bool", "float", "pairs"],
+)
+def test_generators_check_the_signs(eps, message):
+    # each of these once returned a catalogue
+    s = Surface(True, 1, ("a", "b", "c"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        canonical_generator_set(s, eps, Target.LINE)
 
 
 def test_catalogue_classes_are_stored_by_their_non_zero_entries():

@@ -13,6 +13,7 @@ import morse_topo
 from morse_topo.canonical import canonical_kr_graph
 from morse_topo.krgraph import critical_type_of, cut_at_level
 from morse_topo.mcg import (
+    canonical_generator_set,
     degree_along,
     factor_stabilizer,
     level_set_class,
@@ -38,6 +39,9 @@ INTAKE_SITES = {
     "ktype-c1": lambda x: CriticalType(Target.LINE, (), 1, x, 1),
     "ktype-c2": lambda x: CriticalType(Target.LINE, (), 1, 0, x),
     "ktype-sign": lambda x: CriticalType(Target.LINE, (), 1, 0, 1, {"a": x}),
+    "generators-sign": lambda x: canonical_generator_set(
+        Surface(True, 1, ("a",)), {"a": x}, Target.LINE
+    ),
     "level-set-class": lambda x: level_set_class((x, 0), 1),
     "level-set-class-genus": lambda x: level_set_class((0, 1), x),
     "degree-q": lambda x: degree_along((x, 0), (1, 0)),
@@ -48,7 +52,7 @@ INTAKE_SITES = {
     "canonical-q": lambda x: canonical_kr_graph(TORUS, {}, 0, 0, (x, 1), Target.CIRCLE),
     "canonical-c0": lambda x: canonical_kr_graph(TORUS, {}, x, 1),
     "critical-type-of-q": lambda x: critical_type_of(
-        canonical_kr_graph(TORUS, {}, 1, 1), TORUS, (x, 0)
+        canonical_kr_graph(TORUS, {}, 1, 1)[0], TORUS, (x, 0)
     ),
     "mesh-triangle": lambda x: HeightMesh(
         True, TETRA_HEIGHTS, TETRA_TRIANGLES[:3] + ((1, 2, x),)
@@ -71,7 +75,7 @@ INTAKE_SITES = {
 def _records():
     """Per record type: (a record, an equal one built from other input, its
     repr text, a ``_replace`` its checks refuse, and the message)."""
-    circle = canonical_kr_graph(TORUS, {}, 0, 0, (1, 0), Target.CIRCLE)
+    circle, _ = canonical_kr_graph(TORUS, {}, 0, 0, (1, 0), Target.CIRCLE)
     piece = cut_at_level(circle, Fraction(1, 1000))[0]
     return {
         "surface": (

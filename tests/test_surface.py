@@ -52,6 +52,17 @@ def test_surface_boundary_must_not_be_a_string():
             Surface(True, 1, boundary)
 
 
+@pytest.mark.parametrize(
+    "boundary", [{"a", "b"}, frozenset("ab"), {"a": 1}.keys()], ids=["set", "frozenset", "keys"]
+)
+def test_surface_boundary_must_not_be_a_set(boundary):
+    # a set's order follows the hash seed, and the labels' order numbers
+    # the boundary pairs of the generator catalogue
+    with pytest.raises(ValueError, match="^boundary must be a sequence of labels, not a set$"):
+        Surface(True, 1, boundary)
+    assert Surface(True, 1, {"b": 1, "a": -1}).boundary == ("b", "a")
+
+
 @pytest.mark.parametrize("label", ["", 7, None, ["a"], {}], ids=repr)
 def test_surface_boundary_labels_must_be_non_empty_strings(label):
     # an unhashable label must not reach the distinctness check
